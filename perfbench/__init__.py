@@ -1,0 +1,5 @@
+"""One benchmark for the Evaluator: batch audit, resident serve, tournament.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
