@@ -363,8 +363,12 @@ def _collect_trace_matrix(jobs: Sequence[_TraceJob], samples: int,
                 if progress is not None:
                     progress(f"traced {name} category {category}")
     else:
+        tracers: Dict[str, TracedInference] = {}
         for job, category in missing:
-            traced = TracedInference(job.model, job.trace_config)
+            traced = tracers.get(job.name)
+            if traced is None:
+                traced = tracers[job.name] = TracedInference(
+                    job.model, job.trace_config)
             traces = [traced.trace_sample(sample)[1]
                       for sample in job.images_by_category[category]]
             collected[(job.name, category)] = traces
@@ -411,15 +415,20 @@ def _hpc_mi(distributions) -> float:
     return best
 
 
-def _runtime_cost(countermeasure: str, model: Sequential,
-                  trace_config: Optional[TraceConfig],
-                  noise_amplitude: float) -> float:
-    if countermeasure == "constant-footprint":
-        return footprint_overhead(model, trace_config)
-    if countermeasure == "noise-injection":
-        # Dummy work scales each counter by ~(1 + amplitude) on average.
-        return 1.0 + noise_amplitude
-    return 1.0
+def _runtime_costs(countermeasures: Sequence[str], model: Sequential,
+                   trace_config: Optional[TraceConfig],
+                   noise_amplitude: float) -> Dict[str, float]:
+    """Victim slowdown factor of each countermeasure on one model."""
+    costs = {}
+    for countermeasure in countermeasures:
+        if countermeasure == "constant-footprint":
+            costs[countermeasure] = footprint_overhead(model, trace_config)
+        elif countermeasure == "noise-injection":
+            # Dummy work scales each counter by ~(1 + amplitude) on average.
+            costs[countermeasure] = 1.0 + noise_amplitude
+        else:
+            costs[countermeasure] = 1.0
+    return costs
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +512,7 @@ def run_tournament(configs: Sequence[ExperimentConfig],
                   countermeasures=list(countermeasures), samples=samples):
         # -- Model zoo + attack pools --------------------------------------
         zoo = []
+        runtime_costs: Dict[str, Dict[str, float]] = {}
         for config in configs:
             if models is not None and config.dataset in models:
                 model = models[config.dataset]
@@ -512,6 +522,9 @@ def run_tournament(configs: Sequence[ExperimentConfig],
             pool = config.generator().generate(
                 samples, seed=pool_seed, categories=list(config.categories))
             zoo.append((config, model, pool, pool_seed))
+            runtime_costs[config.dataset] = _runtime_costs(
+                countermeasures, model, config.trace_config,
+                noise_amplitude)
             if progress is not None:
                 progress(f"model ready: {config.dataset}")
 
@@ -546,9 +559,10 @@ def run_tournament(configs: Sequence[ExperimentConfig],
 
         # -- Cache-attacker cells ------------------------------------------
         # Cells that share (dataset, attacker, trace variant) see identical
-        # traces, so their attack vectors are replayed once and reused —
-        # noise injection perturbs counters, never the memory stream.
-        vectors: Dict[Tuple[str, str, str], np.ndarray] = {}
+        # traces, so their attack vectors are replayed and scored once and
+        # reused — noise injection perturbs counters, never the memory
+        # stream, and profiling is deterministic given the vectors.
+        scored: Dict[Tuple[str, str, str], Tuple] = {}
         for config, model, pool, pool_seed in zoo:
             for attacker_name in cache_attackers:
                 for countermeasure in countermeasures:
@@ -566,24 +580,24 @@ def run_tournament(configs: Sequence[ExperimentConfig],
                                   attacker=attacker_name,
                                   countermeasure=countermeasure):
                         vector_key = (config.dataset, attacker_name, variant)
-                        if vector_key in vectors:
-                            x = vectors[vector_key]
-                        elif attacker_name == "prime-probe":
-                            attacker = PrimeProbeAttacker()
-                            x = attacker.probe_vectors(
-                                traces, epochs=epochs).astype(float)
-                        else:
-                            traced = TracedInference(model, trace_config)
-                            attacker = FlushReloadAttacker(
-                                weight_lines(traced, flush_reload_layer))
-                            x = attacker.observe_batch(
-                                traces, epochs=epochs).astype(float)
-                        vectors[vector_key] = x
-                        outcome = profile_attack_vectors(
-                            x, labels,
-                            classifier=_CLASSIFIER_FOR[attacker_name],
-                            seed=config.eval_seed)
-                        mi = _vector_mi(x, labels)
+                        if vector_key not in scored:
+                            if attacker_name == "prime-probe":
+                                attacker = PrimeProbeAttacker()
+                                x = attacker.probe_vectors(
+                                    traces, epochs=epochs).astype(float)
+                            else:
+                                traced = TracedInference(model, trace_config)
+                                attacker = FlushReloadAttacker(
+                                    weight_lines(traced, flush_reload_layer))
+                                x = attacker.observe_batch(
+                                    traces, epochs=epochs).astype(float)
+                            scored[vector_key] = (
+                                profile_attack_vectors(
+                                    x, labels,
+                                    classifier=_CLASSIFIER_FOR[attacker_name],
+                                    seed=config.eval_seed),
+                                _vector_mi(x, labels))
+                        outcome, mi = scored[vector_key]
                     cells.append(TournamentCell(
                         dataset=config.dataset,
                         attacker=attacker_name,
@@ -595,9 +609,8 @@ def run_tournament(configs: Sequence[ExperimentConfig],
                         leakage_fraction=min(
                             1.0,
                             mi / max_leakage_bits(len(config.categories))),
-                        runtime_cost=_runtime_cost(
-                            countermeasure, model, config.trace_config,
-                            noise_amplitude),
+                        runtime_cost=runtime_costs[config.dataset][
+                            countermeasure],
                         classifier_name=outcome.classifier_name,
                         n_train=outcome.n_train,
                         n_test=outcome.n_test,
@@ -655,9 +668,8 @@ def run_tournament(configs: Sequence[ExperimentConfig],
                         leakage_fraction=min(
                             1.0,
                             mi / max_leakage_bits(len(config.categories))),
-                        runtime_cost=_runtime_cost(
-                            countermeasure, model, config.trace_config,
-                            noise_amplitude),
+                        runtime_cost=runtime_costs[config.dataset][
+                            countermeasure],
                         classifier_name=outcome.classifier_name,
                         n_train=outcome.n_train,
                         n_test=outcome.n_test,

@@ -9,7 +9,7 @@ every event, and is primarily used by the countermeasure-comparison bench.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,8 +54,8 @@ class NoiseInjectionBackend(HpcBackend):
             self._running_mean[event] = (
                 previous + (counts[event] - previous) / self._count)
 
-    def measure(self, sample: np.ndarray) -> Measurement:
-        measurement = self.inner.measure(sample)
+    def _inject(self, measurement: Measurement) -> Measurement:
+        """Fold one readout into the running means and add its noise."""
         counts = measurement.counts
         self._update_means(counts)
         if self.amplitude == 0:
@@ -66,6 +66,25 @@ class NoiseInjectionBackend(HpcBackend):
             injected = abs(self._rng.normal(0.0, scale)) if scale > 0 else 0.0
             noisy[event] = counts[event] + int(round(injected))
         return Measurement(measurement.prediction, EventCounts(noisy))
+
+    def measure(self, sample: np.ndarray) -> Measurement:
+        return self._inject(self.inner.measure(sample))
+
+    def measure_batch(self, samples: Sequence[np.ndarray]
+                      ) -> List[Measurement]:
+        """Measure a batch, bit-identical to :meth:`measure` in order.
+
+        The inner backend's ``measure_batch`` measures the whole batch;
+        the running means and noise draws are then applied readout by
+        readout in sample order.  The dummy-work stream is independent
+        of the inner backend's noise, so deferring it past the inner
+        batch consumes both streams exactly as the per-sample loop does.
+
+        Args:
+            samples: Inputs to classify, one measurement each.
+        """
+        return [self._inject(measurement)
+                for measurement in self.inner.measure_batch(list(samples))]
 
     def fingerprint(self) -> str:
         return (f"noise-{self.amplitude}-{self.seed}-"

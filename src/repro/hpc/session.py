@@ -255,7 +255,15 @@ class MeasurementSession:
             return [self._measure_one(sample,
                                       noise_key=(category, index_base + index))
                     for index, sample in enumerate(samples)]
-        for sample in samples[:self.warmup]:
+        warm = samples[:self.warmup]
+        batch = _chain_batch(self.backend)
+        if batch is not None:
+            # Unkeyed noise is a sequential stream, so the warm-up rides
+            # in the same batch, ahead of the samples: every stream and
+            # auto-index advances exactly as the per-sample loop would.
+            return [measurement.counts
+                    for measurement in batch(warm + samples)[len(warm):]]
+        for sample in warm:
             self._measure_one(sample)
         return [self._measure_one(sample) for sample in samples]
 
@@ -651,6 +659,21 @@ class MeasurementSession:
         if merged is None:
             raise MeasurementError("no events to measure")
         return merged
+
+
+def _chain_batch(backend: HpcBackend):
+    """``backend.measure_batch`` when the whole wrapper chain batches.
+
+    A wrapper (any backend with an ``inner``) batches only as far as what
+    it wraps: over a backend without ``measure_batch`` (``PerfBackend``,
+    ``FlakyBackend``) the session keeps its retried per-sample loop.
+    """
+    link = backend
+    while link is not None:
+        if getattr(link, "measure_batch", None) is None:
+            return None
+        link = getattr(link, "inner", None)
+    return backend.measure_batch
 
 
 def _entry_readings(entry: EventDistributions,

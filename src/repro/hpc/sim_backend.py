@@ -57,6 +57,19 @@ DEFAULT_NOISE_FLOOR: Dict[HpcEvent, float] = {
 NOISE_SCHEMES = ("per-sample", "stream")
 
 
+def _count_replayed(traces) -> None:
+    """Emit the ``trace.*`` counters of traces replayed through the plan.
+
+    The per-sample path emits these from ``Trace.replay``, once per
+    measurement; keeping the data-derived totals identical makes the
+    deterministic-telemetry contract hold whichever path (and whatever
+    chunking) replayed a trace.
+    """
+    obs.inc("trace.ops", sum(len(trace.ops) for trace in traces))
+    obs.inc("trace.mem_accesses",
+            sum(trace.memory_accesses for trace in traces))
+
+
 class SimBackend(HpcBackend):
     """Measures classifications on the simulated CPU.
 
@@ -259,13 +272,7 @@ class SimBackend(HpcBackend):
                         time.perf_counter_ns() - start, backend=self.name)
             obs.inc("backend.measurements", len(samples),
                     backend=self.name)
-            # The per-sample path emits these from Trace.replay, once per
-            # measurement; keep the data-derived totals identical so the
-            # deterministic-telemetry contract holds whichever path (and
-            # whatever chunking) measured a sample.
-            obs.inc("trace.ops", sum(len(trace.ops) for trace in traces))
-            obs.inc("trace.mem_accesses",
-                    sum(trace.memory_accesses for trace in traces))
+            _count_replayed(traces)
         results: List[Measurement] = []
         for i, (prediction, counts) in enumerate(
                 zip(predictions, counts_list)):
@@ -323,12 +330,26 @@ class SimBackend(HpcBackend):
         Runs the reference forward pass once for the batch (see
         :meth:`repro.trace.TracedInference.run_batch`), amortizing the
         per-sample layer-dispatch overhead — the fast path for warm-up
-        classifications and clean baseline collection.
+        classifications and clean baseline collection.  Inside the
+        plan's exact-vectorization envelope the traces replay through
+        :class:`repro.uarch.MeasurementPlan` (exact, so the counts equal
+        the scalar replay's); otherwise each replays on :attr:`cpu`.
         """
         batch = np.asarray(samples, dtype=np.float64)
-        return [Measurement(prediction, counts)
-                for prediction, counts in self.traced.run_batch(batch,
-                                                                self.cpu)]
+        if not MeasurementPlan.supports(self.cpu_config,
+                                        cold_start=self.cpu.cold_start):
+            return [Measurement(prediction, counts)
+                    for prediction, counts in self.traced.run_batch(batch,
+                                                                    self.cpu)]
+        if self._plan is None:
+            self._plan = MeasurementPlan(self.cpu_config)
+        pairs = self.traced.trace_batch(batch)
+        traces = [trace for _prediction, trace in pairs]
+        counts_list = self._plan.replay_batch(traces)
+        if obs.is_enabled():
+            _count_replayed(traces)
+        return [Measurement(prediction, EventCounts(counts))
+                for (prediction, _trace), counts in zip(pairs, counts_list)]
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256()

@@ -142,3 +142,44 @@ def test_input_validation(tmp_path, tiny_trained_model):
         run_tournament([config], attack_samples=1, models=models)
     with pytest.raises(MeasurementError):
         run_tournament([config, config], models=models)
+
+
+def _verdicts(report):
+    return [(c.dataset, c.attacker, c.countermeasure, c.accuracy,
+             c.advantage, c.mi_bits, c.leakage_fraction, c.runtime_cost,
+             c.n_train, c.n_test) for c in report.ranked()]
+
+
+def test_hpc_cells_never_replay_on_the_scalar_cpu(tmp_path, monkeypatch,
+                                                  tiny_trained_model):
+    # Every HPC cell — noise injection and warm-up included — measures
+    # through the batched MeasurementPlan; the scalar CpuModel replay
+    # (TracedInference.run / run_batch) must not run at all.
+    from repro.hpc import session as session_module
+    from repro.trace.traced_model import TracedInference
+    from repro.uarch.engine import MeasurementPlan
+
+    models = {"mnist": tiny_trained_model}
+    calls = []
+    run, run_batch = TracedInference.run, TracedInference.run_batch
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TracedInference, "run", counted(run))
+    monkeypatch.setattr(TracedInference, "run_batch", counted(run_batch))
+    batched = run_tournament([tiny_config(tmp_path / "batched")],
+                             attack_samples=4, epochs=4, models=models)
+    assert calls == []
+
+    # Reference: the per-sample session path on the scalar CPU model.
+    monkeypatch.setattr(session_module, "_chain_batch", lambda backend: None)
+    monkeypatch.setattr(MeasurementPlan, "supports",
+                        staticmethod(lambda config, cold_start=True: False))
+    scalar = run_tournament([tiny_config(tmp_path / "scalar")],
+                            attack_samples=4, epochs=4, models=models)
+    assert calls  # the reference really took the scalar path
+    assert _verdicts(batched) == _verdicts(scalar)

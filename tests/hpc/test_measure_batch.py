@@ -143,3 +143,164 @@ class TestPackedNoise:
         want = backend.measure(samples[0], noise_key=key)
         got = backend.measure_batch([samples[0]], noise_keys=[key])[0]
         assert_identical([want], [got])
+
+
+def per_sample_collect(backend, dataset, categories, count, warmup):
+    """The reference unkeyed collection: one measure() per classification."""
+    from repro.hpc import EventDistributions
+
+    per_category = {}
+    for category in categories:
+        images = dataset.category(category).images[:count]
+        for image in images[:warmup]:
+            backend.measure(image)
+        per_category[category] = [backend.measure(image).counts
+                                  for image in images]
+    return EventDistributions.from_measurements(per_category)
+
+
+def assert_same_distributions(want, got):
+    assert want.categories == got.categories
+    assert want.events == got.events
+    for category in want.categories:
+        for event in want.events:
+            assert np.array_equal(want.values(category, event),
+                                  got.values(category, event))
+
+
+class TestUnkeyedSessionBatch:
+    """Unkeyed collection (stateful noise) through one batch per category."""
+
+    @staticmethod
+    def _backends(model):
+        from repro.countermeasures import NoiseInjectionBackend
+
+        return {
+            "noise-injection": lambda: NoiseInjectionBackend(
+                SimBackend(model, seed=2), amplitude=0.25, seed=7),
+            "stream": lambda: SimBackend(model, seed=2,
+                                         noise_scheme="stream"),
+        }
+
+    @pytest.mark.parametrize("kind", ["noise-injection", "stream"])
+    @pytest.mark.parametrize("warmup", [0, 2])
+    def test_collect_equals_per_sample_loop(self, tiny_trained_model,
+                                            digits_dataset, kind, warmup):
+        from repro.hpc import MeasurementSession
+
+        make = self._backends(tiny_trained_model)[kind]
+        want = per_sample_collect(make(), digits_dataset, (0, 3), 4, warmup)
+        backend = make()
+        calls = []
+        original = backend.measure
+        backend.measure = lambda *a, **k: calls.append(1) or original(*a, **k)
+        got = MeasurementSession(backend, warmup=warmup).collect(
+            digits_dataset, (0, 3), 4)
+        assert not calls, "unkeyed collection left the batched path"
+        assert_same_distributions(want, got)
+
+    def test_warmup_rides_in_the_batch(self, tiny_trained_model,
+                                       digits_dataset):
+        from repro.hpc import MeasurementSession
+
+        backend = self._backends(tiny_trained_model)["noise-injection"]()
+        sizes = []
+        original = backend.measure_batch
+        backend.measure_batch = (
+            lambda samples: sizes.append(len(samples)) or original(samples))
+        readings = MeasurementSession(backend, warmup=2).measure_category(
+            digits_dataset.category(1).images[:5])
+        assert sizes == [7]  # 2 warm-up + 5 measured, one call
+        assert len(readings) == 5
+        assert backend._count == 7  # warm-up folded into the running means
+
+    def test_flaky_inner_keeps_retried_per_sample_path(self,
+                                                       tiny_trained_model,
+                                                       digits_dataset):
+        # FlakyBackend has no measure_batch, so the chain cannot batch:
+        # the session must stay on the retried loop, where the injected
+        # fault is retried away and the run equals a clean one.
+        from repro.countermeasures import NoiseInjectionBackend
+        from repro.hpc import MeasurementSession
+        from repro.resilience import (
+            FaultKind, FaultPlan, FaultSpec, FlakyBackend, RetryPolicy)
+
+        plan = FaultPlan([FaultSpec(FaultKind.TIMEOUT, -1, 3)])
+        flaky = NoiseInjectionBackend(
+            FlakyBackend(SimBackend(tiny_trained_model, seed=2), plan),
+            amplitude=0.25, seed=7)
+        retry = RetryPolicy(max_attempts=3, sleep=lambda seconds: None)
+        got = MeasurementSession(flaky, warmup=2, retry=retry).collect(
+            digits_dataset, (0, 3), 4)
+        assert plan.fault_for((-1, 3)) is None  # the one attempt was spent
+        clean = NoiseInjectionBackend(SimBackend(tiny_trained_model, seed=2),
+                                      amplitude=0.25, seed=7)
+        assert_same_distributions(
+            per_sample_collect(clean, digits_dataset, (0, 3), 4, 2), got)
+
+
+class TestCleanBatchReplay:
+    """measure_clean_batch replays through the plan when it is exact."""
+
+    @pytest.mark.parametrize("hardened", [False, True])
+    def test_plan_replay_equals_measure_clean(self, tiny_trained_model,
+                                              samples, hardened):
+        from repro.countermeasures import harden_backend
+
+        backend = SimBackend(tiny_trained_model, seed=5)
+        if hardened:
+            backend = harden_backend(backend)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("warm-up replayed on the scalar CpuModel")
+
+        backend.traced.run_batch = scalar
+        got = backend.measure_clean_batch(samples[:4])
+        assert backend._plan is not None
+        assert_identical([backend.measure_clean(sample)
+                          for sample in samples[:4]], got)
+
+    @pytest.mark.parametrize("cold,policy", [(False, "lru"),
+                                             (True, "tree-plru")])
+    def test_falls_back_outside_the_plan(self, tiny_trained_model, samples,
+                                         cold, policy):
+        from repro.uarch import CpuConfig, HierarchyConfig
+
+        def backend():
+            made = SimBackend(tiny_trained_model, cpu_config=CpuConfig(
+                hierarchy=HierarchyConfig(policy=policy)))
+            made.cpu.cold_start = cold
+            return made
+
+        batched = backend()
+        got = batched.measure_clean_batch(samples[:3])
+        assert batched._plan is None
+        reference = backend()
+        want = reference.traced.run_batch(np.asarray(samples[:3]),
+                                          reference.cpu)
+        for (prediction, counts), measurement in zip(want, got):
+            assert measurement.prediction == prediction
+            assert measurement.counts == counts
+
+    def test_trace_counters_match_scalar_replay(self, tiny_trained_model,
+                                                samples):
+        from repro import obs
+
+        def counters(run):
+            obs.configure(obs.TelemetryConfig(enabled=True, console=False))
+            try:
+                run()
+                snapshot = obs.active().snapshot()
+                return (snapshot.counter_value("trace.ops"),
+                        snapshot.counter_value("trace.mem_accesses"))
+            finally:
+                obs.reset()
+
+        batch = np.asarray(samples[:3])
+        planned = SimBackend(tiny_trained_model)
+        scalar = SimBackend(tiny_trained_model)
+        got = counters(lambda: planned.measure_clean_batch(batch))
+        want = counters(lambda: scalar.traced.run_batch(batch, scalar.cpu))
+        assert planned._plan is not None
+        assert got == want
+        assert got[0] > 0 and got[1] > 0
