@@ -101,6 +101,16 @@ class GaussianNaiveBayes(AttackClassifier):
 class LinearDiscriminant(AttackClassifier):
     """LDA with a shared, shrinkage-regularized covariance.
 
+    The shrunk covariance ``a·CᵀC/m + b·I`` (``C`` the ``n x d`` matrix of
+    class-centered training rows) is never formed: attack vectors are wide
+    (epochs x LLC sets = 1024 features) but a profiling split holds only a
+    few dozen rows, so ``C`` spans at most ``n`` directions.  One thin SVD
+    ``C = U S Vᵀ`` gives the inverse as ``(1/b)·I + V·diag(1/(a·s²/m + b)
+    - 1/b)·Vᵀ``, from which the ``d x classes`` discriminant weights follow
+    in ``O(n·d·classes)``.  Eigenvalues at or below ``1e-15`` of the
+    largest are dropped, exactly as ``np.linalg.pinv``'s default ``rcond``
+    drops them — including the whole complement of ``V`` when ``b = 0``.
+
     Args:
         shrinkage: Convex blend toward the scaled identity (0 = empirical
             covariance, 1 = spherical); small positive values stabilize the
@@ -108,6 +118,8 @@ class LinearDiscriminant(AttackClassifier):
     """
 
     name = "lda"
+    #: Relative eigenvalue cutoff (``np.linalg.pinv``'s default ``rcond``).
+    rcond = 1e-15
 
     def __init__(self, shrinkage: float = 0.1):
         if not 0.0 <= shrinkage <= 1.0:
@@ -120,14 +132,25 @@ class LinearDiscriminant(AttackClassifier):
         self.classes_ = np.unique(y)
         means = np.stack([x[y == c].mean(axis=0) for c in self.classes_])
         centered = x - means[np.searchsorted(self.classes_, y)]
-        cov = centered.T @ centered / max(1, x.shape[0] - self.classes_.size)
-        identity_scale = np.trace(cov) / cov.shape[0] or 1.0
-        cov = ((1.0 - self.shrinkage) * cov
-               + self.shrinkage * identity_scale * np.eye(cov.shape[0]))
-        self._precision = np.linalg.pinv(cov)
-        self._means = means
+        dof = max(1, x.shape[0] - self.classes_.size)
+        _, singular, basis = np.linalg.svd(centered, full_matrices=False)
+        variances = singular ** 2 / dof       # nonzero eigenvalues of cov
+        identity_scale = variances.sum() / x.shape[1] or 1.0
+        spherical = self.shrinkage * identity_scale
+        eigenvalues = (1.0 - self.shrinkage) * variances + spherical
+        cutoff = self.rcond * max(eigenvalues.max(initial=0.0), spherical)
+        kept = eigenvalues > cutoff
+        inverse = np.zeros_like(eigenvalues)
+        inverse[kept] = 1.0 / eigenvalues[kept]
+        # Precision on the complement of ``basis``: 1/b, or 0 when b is
+        # itself below the cutoff (pinv drops those directions).
+        complement = 1.0 / spherical if spherical > cutoff else 0.0
+        self._coef = (complement * means.T
+                      + basis.T @ ((inverse - complement)[:, None]
+                                   * (basis @ means.T)))
         counts = np.asarray([(y == c).sum() for c in self.classes_], dtype=float)
-        self._log_prior = np.log(counts / counts.sum())
+        self._intercept = (-0.5 * np.einsum("dc,cd->c", self._coef, means)
+                           + np.log(counts / counts.sum()))
         return self
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
@@ -135,10 +158,7 @@ class LinearDiscriminant(AttackClassifier):
         if self.classes_ is None:
             raise StatisticsError("classifier not fitted")
         x = np.asarray(x, dtype=np.float64)
-        scores = x @ self._precision @ self._means.T
-        scores -= 0.5 * np.einsum("ci,ij,cj->c", self._means,
-                                  self._precision, self._means)[None, :]
-        return scores + self._log_prior[None, :]
+        return x @ self._coef + self._intercept[None, :]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.classes_[np.argmax(self.decision_function(x), axis=1)]

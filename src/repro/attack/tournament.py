@@ -53,7 +53,6 @@ from ..countermeasures import (
     NoiseInjectionBackend,
     constant_footprint_config,
     footprint_overhead,
-    harden_backend,
 )
 from ..errors import MeasurementError
 from ..hpc.session import MeasurementCache, MeasurementSession
@@ -286,17 +285,56 @@ def _trace_chunk(spec: _TraceChunk):
     return spec.job, spec.category, arrays, payload
 
 
+class _ModelTracers:
+    """One model's tracer per trace variant, built on first use and shared.
+
+    ``"base"`` traces the model as configured, ``"hardened"`` through the
+    constant-footprint kernels.  Building a tracer lays out the address
+    space and prepares every layer's line tables, so every user in a pass
+    — the runtime-cost probe, the serial trace matrix, the Flush+Reload
+    weight lines and the HPC backends — takes its tracer from here.
+    """
+
+    def __init__(self, model: Sequential, config: ExperimentConfig):
+        base = config.trace_config or TraceConfig()
+        self.model = model
+        self.engine = config.engine
+        self.configs: Dict[str, TraceConfig] = {
+            "base": base, "hardened": constant_footprint_config(base)}
+        self._built: Dict[str, TracedInference] = {}
+
+    def __getitem__(self, variant: str) -> TracedInference:
+        traced = self._built.get(variant)
+        if traced is None:
+            traced = self._built[variant] = TracedInference(
+                self.model, self.configs[variant], engine=self.engine)
+        return traced
+
+
+def _variant_of(countermeasure: str) -> str:
+    """The trace variant a countermeasure's victim executes."""
+    return "hardened" if countermeasure == "constant-footprint" else "base"
+
+
 @dataclass(frozen=True)
 class _TraceJob:
     """One trace variant of one model: what to trace and how to key it."""
 
     name: str                      # "<dataset>/<variant>"
-    model: Sequential
-    trace_config: Optional[TraceConfig]
+    tracers: _ModelTracers
+    variant: str
     dataset_name: str
     tag: str
     categories: Tuple[int, ...]
     images_by_category: Dict[int, np.ndarray]
+
+    @property
+    def model(self) -> Sequential:
+        return self.tracers.model
+
+    @property
+    def trace_config(self) -> TraceConfig:
+        return self.tracers.configs[self.variant]
 
 
 def _collect_trace_matrix(jobs: Sequence[_TraceJob], samples: int,
@@ -363,12 +401,8 @@ def _collect_trace_matrix(jobs: Sequence[_TraceJob], samples: int,
                 if progress is not None:
                     progress(f"traced {name} category {category}")
     else:
-        tracers: Dict[str, TracedInference] = {}
         for job, category in missing:
-            traced = tracers.get(job.name)
-            if traced is None:
-                traced = tracers[job.name] = TracedInference(
-                    job.model, job.trace_config)
+            traced = job.tracers[job.variant]
             traces = [traced.trace_sample(sample)[1]
                       for sample in job.images_by_category[category]]
             collected[(job.name, category)] = traces
@@ -415,14 +449,15 @@ def _hpc_mi(distributions) -> float:
     return best
 
 
-def _runtime_costs(countermeasures: Sequence[str], model: Sequential,
-                   trace_config: Optional[TraceConfig],
+def _runtime_costs(countermeasures: Sequence[str], tracers: _ModelTracers,
                    noise_amplitude: float) -> Dict[str, float]:
     """Victim slowdown factor of each countermeasure on one model."""
     costs = {}
     for countermeasure in countermeasures:
         if countermeasure == "constant-footprint":
-            costs[countermeasure] = footprint_overhead(model, trace_config)
+            costs[countermeasure] = footprint_overhead(
+                tracers.model, tracers.configs["base"],
+                sparse=tracers["base"], hardened=tracers["hardened"])
         elif countermeasure == "noise-injection":
             # Dummy work scales each counter by ~(1 + amplitude) on average.
             costs[countermeasure] = 1.0 + noise_amplitude
@@ -521,10 +556,10 @@ def run_tournament(configs: Sequence[ExperimentConfig],
             pool_seed = config.eval_seed + 500
             pool = config.generator().generate(
                 samples, seed=pool_seed, categories=list(config.categories))
-            zoo.append((config, model, pool, pool_seed))
+            tracers = _ModelTracers(model, config)
+            zoo.append((config, tracers, pool, pool_seed))
             runtime_costs[config.dataset] = _runtime_costs(
-                countermeasures, model, config.trace_config,
-                noise_amplitude)
+                countermeasures, tracers, noise_amplitude)
             if progress is not None:
                 progress(f"model ready: {config.dataset}")
 
@@ -532,19 +567,14 @@ def run_tournament(configs: Sequence[ExperimentConfig],
         cache_attackers = [a for a in attackers if a != "hpc"]
         jobs: List[_TraceJob] = []
         if cache_attackers:
-            for config, model, pool, pool_seed in zoo:
-                variants = {}
-                if ("baseline" in countermeasures
-                        or "noise-injection" in countermeasures):
-                    variants["base"] = config.trace_config
-                if "constant-footprint" in countermeasures:
-                    variants["hardened"] = constant_footprint_config(
-                        config.trace_config or TraceConfig())
-                for variant, trace_config in variants.items():
+            for config, tracers, pool, pool_seed in zoo:
+                variants = sorted({_variant_of(countermeasure)
+                                   for countermeasure in countermeasures})
+                for variant in variants:
                     jobs.append(_TraceJob(
                         name=f"{config.dataset}/{variant}",
-                        model=model,
-                        trace_config=trace_config,
+                        tracers=tracers,
+                        variant=variant,
                         dataset_name=pool.name,
                         tag=f"gen{GENERATOR_VERSION}-pool-seed={pool_seed}",
                         categories=tuple(config.categories),
@@ -563,16 +593,10 @@ def run_tournament(configs: Sequence[ExperimentConfig],
         # reused — noise injection perturbs counters, never the memory
         # stream, and profiling is deterministic given the vectors.
         scored: Dict[Tuple[str, str, str], Tuple] = {}
-        for config, model, pool, pool_seed in zoo:
+        for config, tracers, pool, pool_seed in zoo:
             for attacker_name in cache_attackers:
                 for countermeasure in countermeasures:
-                    variant = ("hardened"
-                               if countermeasure == "constant-footprint"
-                               else "base")
-                    trace_config = (constant_footprint_config(
-                                        config.trace_config or TraceConfig())
-                                    if variant == "hardened"
-                                    else config.trace_config)
+                    variant = _variant_of(countermeasure)
                     traces, labels = matrix[f"{config.dataset}/{variant}"]
                     cell_started = time.perf_counter()
                     with obs.span("tournament.cell",
@@ -586,9 +610,8 @@ def run_tournament(configs: Sequence[ExperimentConfig],
                                 x = attacker.probe_vectors(
                                     traces, epochs=epochs).astype(float)
                             else:
-                                traced = TracedInference(model, trace_config)
-                                attacker = FlushReloadAttacker(
-                                    weight_lines(traced, flush_reload_layer))
+                                attacker = FlushReloadAttacker(weight_lines(
+                                    tracers[variant], flush_reload_layer))
                                 x = attacker.observe_batch(
                                     traces, epochs=epochs).astype(float)
                             scored[vector_key] = (
@@ -624,12 +647,16 @@ def run_tournament(configs: Sequence[ExperimentConfig],
 
         # -- HPC cells ------------------------------------------------------
         if "hpc" in attackers:
-            for config, model, pool, pool_seed in zoo:
+            for config, tracers, pool, pool_seed in zoo:
                 for countermeasure in countermeasures:
-                    backend = make_backend(config, model)
-                    if countermeasure == "constant-footprint":
-                        backend = harden_backend(backend)
-                    elif countermeasure == "noise-injection":
+                    variant = _variant_of(countermeasure)
+                    # The constant-footprint victim is the configured one
+                    # with hardened kernels (what harden_backend builds).
+                    backend = make_backend(
+                        replace(config,
+                                trace_config=tracers.configs[variant]),
+                        tracers.model, traced=tracers[variant])
+                    if countermeasure == "noise-injection":
                         backend = NoiseInjectionBackend(
                             backend, amplitude=noise_amplitude,
                             seed=config.noise_seed)

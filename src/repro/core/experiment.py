@@ -39,6 +39,7 @@ from ..obs import runtime as obs
 from ..obs.profiling import profile_stage
 from ..obs.runtime import TelemetryConfig
 from ..trace.recorder import TraceConfig
+from ..trace.traced_model import TracedInference
 from ..uarch.cpu import CpuConfig
 from .evaluator import Evaluator
 from .leakage import LeakageReport
@@ -294,11 +295,16 @@ def resolve_backend_choice(config: ExperimentConfig) -> str:
     return "sim"
 
 
-def make_backend(config: ExperimentConfig, model: Sequential) -> HpcBackend:
+def make_backend(config: ExperimentConfig, model: Sequential,
+                 traced: Optional[TracedInference] = None) -> HpcBackend:
     """The measurement backend for this configuration.
 
     Honors ``config.backend`` (``"sim"``, ``"perf"`` or ``"auto"``) and
     attaches the configured retry policy where the backend supports it.
+    ``traced`` hands a prebuilt tracer of ``model`` under
+    ``config.trace_config`` to the simulated backend (see
+    :class:`~repro.hpc.sim_backend.SimBackend`); the perf backend runs the
+    real model and ignores it.
     """
     choice = resolve_backend_choice(config)
     if choice == "perf":
@@ -311,6 +317,7 @@ def make_backend(config: ExperimentConfig, model: Sequential) -> HpcBackend:
         seed=config.noise_seed,
         noise_scheme=config.noise_scheme,
         engine=config.engine,
+        traced=traced,
     )
 
 

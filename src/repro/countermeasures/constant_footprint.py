@@ -20,9 +20,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
+import numpy as np
+
 from ..hpc.sim_backend import SimBackend
 from ..nn.model import Sequential
 from ..trace.recorder import TraceConfig
+from ..trace.traced_model import TracedInference, reuse_tracer
 from ..uarch.cpu import CpuConfig
 
 
@@ -75,7 +78,9 @@ def make_hardened_backend(model: Sequential,
 
 
 def footprint_overhead(model: Sequential,
-                       trace_config: Optional[TraceConfig] = None) -> float:
+                       trace_config: Optional[TraceConfig] = None,
+                       sparse: Optional[TracedInference] = None,
+                       hardened: Optional[TracedInference] = None) -> float:
     """Instruction-count overhead factor of the defense on ``model``.
 
     Constant-footprint inference does the dense worst-case work for every
@@ -83,14 +88,20 @@ def footprint_overhead(model: Sequential,
     instructions(sparse)`` on an all-ones probe input (which maximizes the
     sparse path's work, so the returned factor is a *lower* bound on the
     worst-case overhead).
+
+    Args:
+        model: The classifier.
+        trace_config: Its undefended trace configuration.
+        sparse: Optional prebuilt tracer of ``model`` under
+            ``trace_config``.
+        hardened: Optional prebuilt tracer of ``model`` under
+            ``constant_footprint_config(trace_config)``.  A prebuilt
+            tracer bound to another model or config raises
+            :class:`~repro.errors.ConfigError`.
     """
-    import numpy as np
-
-    from ..trace.traced_model import TracedInference
-
     base = trace_config or TraceConfig()
-    sparse = TracedInference(model, base)
-    hardened = TracedInference(model, constant_footprint_config(base))
+    sparse = reuse_tracer(sparse, model, base)
+    hardened = reuse_tracer(hardened, model, constant_footprint_config(base))
     probe = np.ones(model.input_shape)
     _, sparse_trace = sparse.trace_sample(probe)
     _, dense_trace = hardened.trace_sample(probe)

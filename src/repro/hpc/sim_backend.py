@@ -20,7 +20,7 @@ from ..errors import BackendError
 from ..obs import runtime as obs
 from ..nn.model import Sequential
 from ..trace.recorder import TraceConfig
-from ..trace.traced_model import TracedInference
+from ..trace.traced_model import TracedInference, reuse_tracer
 from ..uarch.cpu import CpuConfig, CpuModel
 from ..uarch.engine import MeasurementPlan
 from ..uarch.events import EventCounts, HpcEvent
@@ -95,6 +95,10 @@ class SimBackend(HpcBackend):
             :class:`repro.trace.TracedInference`.  The engine never
             changes measured values (and therefore does not enter
             :meth:`fingerprint`), only how fast they are produced.
+        traced: Optional prebuilt tracer of ``model`` under
+            ``trace_config`` and ``engine``, shared with other users of
+            the same pair instead of building a second one; a mismatched
+            tracer raises :class:`~repro.errors.ConfigError`.
     """
 
     name = "sim"
@@ -106,7 +110,8 @@ class SimBackend(HpcBackend):
                  noise_profile: Optional[Dict[HpcEvent, float]] = None,
                  seed: int = 0,
                  noise_scheme: str = "per-sample",
-                 engine: str = "compiled"):
+                 engine: str = "compiled",
+                 traced: Optional[TracedInference] = None):
         if noise_scale < 0:
             raise BackendError(f"noise_scale must be >= 0, got {noise_scale}")
         if noise_scheme not in NOISE_SCHEMES:
@@ -124,8 +129,8 @@ class SimBackend(HpcBackend):
         self.seed = seed
         self.noise_scheme = noise_scheme
         self.engine = engine
-        self.traced = TracedInference(model, self.trace_config,
-                                      engine=engine)
+        self.traced = reuse_tracer(traced, model, self.trace_config,
+                                   engine=engine)
         self.cpu = CpuModel(self.cpu_config, seed=seed)
         self._noise_seed = seed
         self._rng = np.random.default_rng(seed)

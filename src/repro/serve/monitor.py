@@ -25,7 +25,7 @@ false-alarm probability of this layer at ``alpha``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -112,7 +112,8 @@ class TenantMonitor:
             self.drift = DriftMonitor(window=config.drift_window,
                                       threshold=config.drift_threshold)
         self.rounds_ingested = 0
-        self._alarm_history: List[RoundOutcome] = []
+        #: Rounds on which the spending alarm layer fired.
+        self.leakage_alarm_count = 0
         self._first_leakage_alarm: Optional[RoundOutcome] = None
 
     def ingest_round(self, round_: MeasurementRound) -> RoundOutcome:
@@ -194,7 +195,7 @@ class TenantMonitor:
             drift_alarms=drift_alarms,
         )
         if outcome.alarmed:
-            self._alarm_history.append(outcome)
+            self.leakage_alarm_count += 1
             if self._first_leakage_alarm is None:
                 self._first_leakage_alarm = outcome
         return outcome
@@ -238,6 +239,7 @@ class TenantMonitor:
             "leakage_alarm_tick": (
                 self._first_leakage_alarm.tick
                 if self._first_leakage_alarm else None),
+            "leakage_alarms": self.leakage_alarm_count,
             "drift_alarm": self.drift_alarmed,
             "drift_alarms": (self.drift.alarm_rows()
                              if self.drift is not None else []),
@@ -249,20 +251,24 @@ class TenantMonitor:
     # ------------------------------------------------------------------
 
     def state(self) -> Dict[str, np.ndarray]:
-        """Npz-able monitor state (evaluator, drift, alarm history).
+        """Npz-able monitor state (evaluator, drift, alarm record).
 
         Alongside the evaluator accumulators and drift windows/alarm
-        table, the spending-layer alarm history persists as ``(tick,
-        round_index)`` rows so :attr:`leakage_alarmed` and the summary's
-        first-alarm tick survive a checkpoint/resume.
+        table, the spending layer persists its first alarm as one
+        ``(tick, round_index)`` row plus the number of alarmed rounds, so
+        :attr:`leakage_alarmed`, the summary's first-alarm tick and
+        :attr:`leakage_alarm_count` survive a checkpoint/resume — in a
+        size that stays flat however long the tenant keeps alarming.
         """
         out = self.evaluator.state()
         out["serve/rounds"] = np.asarray([self.rounds_ingested],
                                          dtype=np.int64)
-        if self._alarm_history:
-            out["serve/alarm_rounds"] = np.asarray(
-                [[outcome.tick, outcome.round_index]
-                 for outcome in self._alarm_history], dtype=np.int64)
+        first = self._first_leakage_alarm
+        if first is not None:
+            out["serve/first_alarm"] = np.asarray(
+                [first.tick, first.round_index], dtype=np.int64)
+            out["serve/alarm_count"] = np.asarray(
+                [self.leakage_alarm_count], dtype=np.int64)
         if self.drift is not None:
             out.update(self.drift.state())
         return out
@@ -272,12 +278,14 @@ class TenantMonitor:
                    spec: TenantSpec, config: ServeConfig) -> "TenantMonitor":
         """Rebuild a monitor from persisted :meth:`state` arrays.
 
-        Restored alarm-history records carry the tick, round index and
-        (recomputed) spent alpha of each alarmed round; the full
+        The restored first alarm carries its tick, round index and
+        (recomputed) spent alpha; the full
         :class:`~repro.core.alarm.Alarm` decision object is not
         persisted, so :attr:`leakage_alarmed`, the first-alarm tick and
         the alarm count survive the round trip while the per-alarm
-        report details do not.
+        report details do not.  Checkpoints that stored every alarmed
+        round (``serve/alarm_rounds``) still load: their first row is the
+        first alarm and their length the count.
         """
         monitor = cls(spec, config)
         monitor.evaluator = StreamingEvaluator.from_state(
@@ -285,15 +293,29 @@ class TenantMonitor:
         if "serve/rounds" in arrays:
             monitor.rounds_ingested = int(
                 np.asarray(arrays["serve/rounds"])[0])
-        if "serve/alarm_rounds" in arrays:
+        if "serve/first_alarm" in arrays:
+            first = np.asarray(arrays["serve/first_alarm"], dtype=np.int64)
+            count = np.asarray(arrays.get("serve/alarm_count", ()),
+                               dtype=np.int64)
+        elif "serve/alarm_rounds" in arrays:
+            # Older checkpoints kept one (tick, round_index) row per alarm.
             rows = np.asarray(arrays["serve/alarm_rounds"], dtype=np.int64)
-            for tick, round_index in rows.tolist():
-                monitor._alarm_history.append(RoundOutcome(
-                    tenant=spec.tenant, round_index=int(round_index),
-                    tick=int(tick),
-                    spent_alpha=spend_alpha(config.alpha, int(tick),
-                                            scheme=config.spending)))
-            monitor._first_leakage_alarm = monitor._alarm_history[0]
+            first = rows[0] if rows.ndim == 2 and len(rows) else rows
+            count = np.asarray([len(rows)], dtype=np.int64)
+        else:
+            first = count = None
+        if first is not None:
+            if first.shape != (2,) or count.shape != (1,) or count[0] < 1:
+                raise EvaluationError(
+                    f"malformed alarm record in state of tenant "
+                    f"{spec.tenant!r}: first alarm {first.tolist()}, "
+                    f"count {count.tolist()}")
+            tick, round_index = (int(value) for value in first)
+            monitor._first_leakage_alarm = RoundOutcome(
+                tenant=spec.tenant, round_index=round_index, tick=tick,
+                spent_alpha=spend_alpha(config.alpha, tick,
+                                        scheme=config.spending))
+            monitor.leakage_alarm_count = int(count[0])
         if monitor.drift is not None:
             monitor.drift = DriftMonitor.from_state(
                 arrays, window=config.drift_window,

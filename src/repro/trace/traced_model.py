@@ -298,3 +298,39 @@ class TracedInference:
             f"dense_stride={self.config.dense_stride})",
             self.space.describe(),
         ])
+
+
+def reuse_tracer(traced: Optional[TracedInference], model: Sequential,
+                 config: Optional[TraceConfig] = None,
+                 engine: Optional[str] = None) -> TracedInference:
+    """``traced`` if it traces ``model`` under ``config``, else a new tracer.
+
+    Building a tracer lays out the address space and prepares every
+    layer's line tables (tens of milliseconds for a conv net), so callers
+    that trace one (model, config) pair through several backends or
+    attackers build it once and hand it to each.  A handed-over tracer
+    must be bound to the same model object and an equal config (and to
+    ``engine``, when one is named); anything else raises
+    :class:`~repro.errors.ConfigError` rather than silently tracing
+    another victim.
+
+    Args:
+        traced: Prebuilt tracer, or None to build one.
+        model: The model the caller means to trace.
+        config: Its trace configuration (None means ``TraceConfig()``).
+        engine: Required forward-pass engine; None accepts any engine
+            (engines never change traces) and builds ``"compiled"``.
+    """
+    config = config or TraceConfig()
+    if traced is None:
+        return TracedInference(model, config, engine=engine or "compiled")
+    if traced.model is not model:
+        raise ConfigError("prebuilt tracer is bound to another model "
+                          f"({traced.model.name!r})")
+    if traced.config != config:
+        raise ConfigError(f"prebuilt tracer has trace config "
+                          f"{traced.config!r}, expected {config!r}")
+    if engine is not None and traced.engine != engine:
+        raise ConfigError(f"prebuilt tracer runs engine {traced.engine!r}, "
+                          f"expected {engine!r}")
+    return traced

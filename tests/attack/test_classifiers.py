@@ -142,3 +142,66 @@ class TestQuadraticExpansionEquivalence:
             query[:, None, :] - model._centroids[None, :, :], axis=2)
         reference = model.classes_[np.argmin(distances, axis=1)]
         assert np.array_equal(model.predict(query), reference)
+
+
+def pinv_lda_scores(x, y, shrinkage, query):
+    """Reference LDA: the explicit d x d shrunk covariance through pinv."""
+    classes = np.unique(y)
+    means = np.stack([x[y == c].mean(axis=0) for c in classes])
+    centered = x - means[np.searchsorted(classes, y)]
+    cov = centered.T @ centered / max(1, x.shape[0] - classes.size)
+    identity_scale = np.trace(cov) / cov.shape[0] or 1.0
+    cov = ((1.0 - shrinkage) * cov
+           + shrinkage * identity_scale * np.eye(cov.shape[0]))
+    precision = np.linalg.pinv(cov)
+    counts = np.asarray([(y == c).sum() for c in classes], dtype=float)
+    scores = query @ precision @ means.T
+    scores -= 0.5 * np.einsum("ci,ij,cj->c", means, precision,
+                              means)[None, :]
+    return scores + np.log(counts / counts.sum())[None, :]
+
+
+def lda_training_set(rng, kind, classes=4):
+    if kind == "wide":          # n < d: the prime-probe shape
+        n, d = 48, 320
+    else:                       # n > d
+        n, d = 160, 12
+    y = np.repeat(np.arange(classes), n // classes)
+    x = rng.normal(size=(n, d)) + 0.4 * y[:, None] * rng.normal(size=d)
+    if kind == "constant-columns":
+        x[:, ::3] = 5.0
+    elif kind == "identical-rows":  # constant-footprint observables
+        x = np.broadcast_to(x[0], x.shape).copy()
+    return x, y
+
+
+class TestLdaMatchesPinvReference:
+    """The low-rank fit against the explicit d x d ``pinv`` covariance."""
+
+    @pytest.mark.parametrize("shrinkage", (0.0, 0.1, 1.0))
+    @pytest.mark.parametrize("kind", ("wide", "tall", "constant-columns",
+                                      "identical-rows"))
+    def test_scores_and_predictions_match(self, rng, kind, shrinkage):
+        x, y = lda_training_set(rng, kind)
+        query = np.concatenate([x, rng.normal(size=(30, x.shape[1])) + 0.3])
+        if kind == "identical-rows":
+            query = x
+        model = LinearDiscriminant(shrinkage=shrinkage).fit(x, y)
+        got = model.decision_function(query)
+        want = pinv_lda_scores(x, y, shrinkage, query)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.array_equal(model.predict(query),
+                              model.classes_[np.argmax(want, axis=1)])
+
+    def test_identical_rows_tie_every_score(self, rng):
+        x, y = lda_training_set(rng, "identical-rows")
+        scores = LinearDiscriminant().fit(x, y).decision_function(x)
+        assert np.all(scores == scores[:, :1])
+
+    def test_fitted_state_is_linear_in_features(self, rng):
+        x, y = lda_training_set(rng, "wide")
+        model = LinearDiscriminant().fit(x, y)
+        classes = np.unique(y).size
+        for value in vars(model).values():
+            if isinstance(value, np.ndarray):
+                assert value.size <= x.shape[1] * classes

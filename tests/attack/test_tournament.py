@@ -183,3 +183,39 @@ def test_hpc_cells_never_replay_on_the_scalar_cpu(tmp_path, monkeypatch,
                             attack_samples=4, epochs=4, models=models)
     assert calls  # the reference really took the scalar path
     assert _verdicts(batched) == _verdicts(scalar)
+
+
+def test_one_tracer_per_trace_variant(tmp_path, monkeypatch,
+                                      tiny_trained_model):
+    # The runtime-cost probe, the trace matrix, the Flush+Reload weight
+    # lines and the HPC backends all share one tracer per (model, trace
+    # config) pair: base and hardened.
+    from repro.attack import tournament as tournament_module
+    from repro.trace.traced_model import TracedInference
+
+    models = {"mnist": tiny_trained_model}
+    built = []
+    init = TracedInference.__init__
+
+    def counted(self, model, config=None, *args, **kwargs):
+        built.append(config)
+        init(self, model, config, *args, **kwargs)
+
+    monkeypatch.setattr(TracedInference, "__init__", counted)
+    shared = run_tournament([tiny_config(tmp_path / "shared")],
+                            attack_samples=4, epochs=4, models=models)
+    assert len(built) <= 2
+    assert len(set(built)) == len(built)
+
+    # Reference: every user builds its own tracer, as before sharing.
+    def fresh(self, variant):
+        return TracedInference(self.model, self.configs[variant],
+                               engine=self.engine)
+
+    monkeypatch.setattr(tournament_module._ModelTracers, "__getitem__",
+                        fresh)
+    built.clear()
+    unshared = run_tournament([tiny_config(tmp_path / "unshared")],
+                              attack_samples=4, epochs=4, models=models)
+    assert len(built) > 2  # the reference really built per user
+    assert _verdicts(shared) == _verdicts(unshared)

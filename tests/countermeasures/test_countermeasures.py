@@ -13,9 +13,9 @@ from repro.countermeasures import (
     harden_backend,
     make_hardened_backend,
 )
-from repro.errors import BackendError
+from repro.errors import BackendError, ConfigError
 from repro.hpc import EventDistributions, MeasurementSession, SimBackend
-from repro.trace import TraceConfig
+from repro.trace import TraceConfig, TracedInference
 from repro.uarch import HpcEvent
 
 
@@ -56,6 +56,18 @@ class TestHardenedBackend:
 
     def test_overhead_factor_above_one(self, tiny_trained_model):
         assert footprint_overhead(tiny_trained_model) > 1.0
+
+    def test_overhead_with_prebuilt_tracers(self, tiny_trained_model):
+        base = TraceConfig()
+        sparse = TracedInference(tiny_trained_model, base)
+        hardened = TracedInference(tiny_trained_model,
+                                   constant_footprint_config(base))
+        assert footprint_overhead(tiny_trained_model, base, sparse=sparse,
+                                  hardened=hardened) \
+            == footprint_overhead(tiny_trained_model, base)
+        with pytest.raises(ConfigError):  # tracers swapped
+            footprint_overhead(tiny_trained_model, base, sparse=hardened,
+                               hardened=sparse)
 
 
 class TestNoiseInjection:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import BackendError
+from repro.errors import BackendError, ConfigError
 from repro.hpc import SimBackend
-from repro.trace import TraceConfig
+from repro.trace import TraceConfig, TracedInference
 from repro.uarch import CpuConfig, HpcEvent
 
 
@@ -14,6 +14,31 @@ def backend_factory(request):
     def make(model, **kwargs):
         return SimBackend(model, **kwargs)
     return make
+
+
+class TestSharedTracer:
+    def test_prebuilt_tracer_measures_like_a_fresh_one(self,
+                                                       tiny_trained_model,
+                                                       digits_dataset):
+        traced = TracedInference(tiny_trained_model)
+        shared = SimBackend(tiny_trained_model, seed=4, traced=traced)
+        fresh = SimBackend(tiny_trained_model, seed=4)
+        assert shared.traced is traced
+        images = digits_dataset.images[:3]
+        assert [m.counts for m in shared.measure_batch(images)] \
+            == [m.counts for m in fresh.measure_batch(images)]
+
+    def test_mismatched_tracer_rejected(self, tiny_trained_model):
+        import copy
+
+        traced = TracedInference(tiny_trained_model)
+        with pytest.raises(ConfigError, match="trace config"):
+            SimBackend(tiny_trained_model, traced=traced,
+                       trace_config=TraceConfig(dense_stride=2))
+        with pytest.raises(ConfigError, match="engine"):
+            SimBackend(tiny_trained_model, traced=traced, engine="layers")
+        with pytest.raises(ConfigError, match="another model"):
+            SimBackend(copy.deepcopy(tiny_trained_model), traced=traced)
 
 
 class TestMeasurement:

@@ -327,3 +327,62 @@ class TestPersistence:
         got, want = resumed.evaluator.state(), whole.evaluator.state()
         for key in want:
             assert np.array_equal(got[key], want[key]), key
+
+    def test_alarm_record_stays_flat_over_thousands_of_alarms(self):
+        # Regression: every alarmed round used to be kept and persisted,
+        # so a leaking tenant's checkpoint grew by one row per round.
+        config = make_config(spending="harmonic", batch_size=2)
+        spec = config.tenants[0]
+        load = SyntheticTenantLoad(spec, seed=23)
+        monitor = TenantMonitor(spec, config)
+        sizes = {}
+        for i in range(2000):
+            monitor.ingest_round(MeasurementRound(
+                tenant="t", index=i, batches=load.round_batches(i, 2)))
+            if i in (99, 1999):
+                sizes[i] = sum(a.nbytes for a in monitor.state().values())
+        assert monitor.leakage_alarm_count > 1900  # the leak keeps alarming
+        assert sizes[1999] == sizes[99]
+        restored = TenantMonitor.from_state(monitor.state(), spec, config)
+        assert restored.leakage_alarm_count == monitor.leakage_alarm_count
+        assert restored.summary()["leakage_alarms"] \
+            == monitor.leakage_alarm_count
+
+    def test_old_format_alarm_history_still_loads(self):
+        config = make_config()
+        spec = config.tenants[0]
+        monitor = TenantMonitor(spec, config)
+        load = SyntheticTenantLoad(spec, seed=21)
+        for i in range(6):
+            monitor.ingest_round(MeasurementRound(
+                tenant="t", index=i,
+                batches=load.round_batches(i, config.batch_size)))
+        first = monitor.first_leakage_alarm
+        arrays = monitor.state()
+        del arrays["serve/first_alarm"], arrays["serve/alarm_count"]
+        arrays["serve/alarm_rounds"] = np.asarray(
+            [[first.tick, first.round_index], [first.tick + 1, 9],
+             [first.tick + 2, 10]], dtype=np.int64)
+
+        restored = TenantMonitor.from_state(arrays, spec, config)
+        twin = restored.first_leakage_alarm
+        assert (twin.tick, twin.round_index, twin.spent_alpha) \
+            == (first.tick, first.round_index, first.spent_alpha)
+        assert restored.leakage_alarm_count == 3
+        assert "serve/alarm_rounds" not in restored.state()
+
+    @pytest.mark.parametrize("arrays", (
+        {"serve/first_alarm": np.asarray([3]),
+         "serve/alarm_count": np.asarray([1])},
+        {"serve/first_alarm": np.asarray([3, 2]),
+         "serve/alarm_count": np.asarray([0])},
+        {"serve/first_alarm": np.asarray([3, 2])},
+        {"serve/alarm_rounds": np.zeros((0, 2), dtype=np.int64)},
+    ))
+    def test_malformed_alarm_record_rejected(self, arrays):
+        config = make_config()
+        spec = config.tenants[0]
+        state = TenantMonitor(spec, config).state()
+        state.update(arrays)
+        with pytest.raises(EvaluationError, match="alarm record"):
+            TenantMonitor.from_state(state, spec, config)
