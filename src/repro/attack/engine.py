@@ -30,19 +30,16 @@ is replayed as a warm priming prefix into the next epoch's kernel call,
 and the reload bit is membership of a monitored line in *any* level's end
 state.
 
-Kernel notes.  Shallow sets (the L1 point) are resolved by ``assoc``
-shifted self-compares: with consecutive duplicates collapsed, an access
-whose value recurs in the previous ``assoc`` positions is a certain hit,
-and one whose previous ``assoc`` positions hold ``assoc`` *distinct*
-values without it is a certain miss.  The leftover — inside windows that
-contain a repeat — is walked by a compact vectorized scanner that leaps
-over period-``p`` runs whose values its avoid set already covers.  Deep
-sets (L2/LLC) go through :func:`repro.uarch.vectorized.lru_hits_grouped`
-after :func:`~repro.uarch.vectorized.strip_periodic_middles` removes the
-interiors of periodic runs (guaranteed hits).  End states are recovered
-from a short per-group suffix — the last ``min(assoc, distinct)`` lines
-by last occurrence — growing the suffix only for the rare groups whose
-tail holds fewer than ``assoc`` distinct lines.
+Kernel notes.  Hit verdicts come from the same grouped-LRU front end and
+dispatcher as the measurement plan
+(:func:`repro.uarch.vectorized.lru_misses_by_key` /
+:func:`~repro.uarch.vectorized.grouped_lru_misses`, then
+:func:`~repro.uarch.vectorized.lru_hits_grouped`): the shifted-compare
+kernel for the shallow L1 sets, the bitset kernel for the deep L2/LLC
+sets.  End states are recovered from a short per-group suffix — the last
+``min(assoc, distinct)`` lines by last occurrence — growing the suffix
+only for the rare groups whose tail holds fewer than ``assoc`` distinct
+lines.
 """
 
 from __future__ import annotations
@@ -54,7 +51,8 @@ import numpy as np
 from ..errors import SimulationError
 from ..trace.recorder import Trace
 from ..uarch.hierarchy import HierarchyConfig
-from ..uarch.vectorized import lru_hits_grouped, strip_periodic_middles
+from ..uarch.vectorized import (grouped_lru_misses, lru_group_key,
+                                lru_misses_by_key)
 
 __all__ = [
     "flush_reload_observations",
@@ -77,7 +75,7 @@ def traces_compatible(traces: Sequence[Trace],
                       max_line: Optional[int] = None) -> bool:
     """Whether every trace's line ids are replayable by the kernels.
 
-    The kernels reserve negative ids for group sentinels, and Prime+Probe
+    The kernels reserve negative ids as empty markers, and Prime+Probe
     additionally needs victim lines to stay below the attacker's eviction
     buffer (``max_line``) so identities never collide.
     """
@@ -133,261 +131,6 @@ def _check_replayable(config: HierarchyConfig, epochs: int) -> None:
         )
 
 
-# ----------------------------------------------------------------------
-# Grouped LRU hit resolution
-# ----------------------------------------------------------------------
-
-def _position_in_group(new_group: np.ndarray) -> np.ndarray:
-    starts = np.flatnonzero(new_group)
-    lens = np.empty(starts.size, dtype=np.int64)
-    lens[:-1] = starts[1:] - starts[:-1]
-    lens[-1] = new_group.size - starts[-1]
-    return np.arange(new_group.size, dtype=np.int64) - np.repeat(starts, lens)
-
-
-def _walk_unresolved(v: np.ndarray, pig: np.ndarray, hit: np.ndarray,
-                     idx: np.ndarray, assoc: int) -> None:
-    """Exact backward scans for the window-ambiguous positions.
-
-    ``_lean_hits`` guarantees every ``idx`` has ``pig >= assoc``, no
-    target in its lag window and at least one in-window duplicate — so
-    the window's distinct values (at most ``assoc - 1`` of them) seed
-    each walker's avoid set directly from pairwise lag compares.
-
-    After seeding, a walker can change state at most ``assoc`` more
-    times: its avoid set never evicts, so only a target match or a value
-    outside the set matters.  Each round gathers a segment of ``L``
-    positions, jumps every walker to its first such *event* (``argmax``
-    over the segment), and applies it; stalled walkers — hot loops whose
-    values the avoid set already covers — skip the whole segment.  ``L``
-    doubles per round, so a walk of span ``S`` costs O(assoc + S / Lmax)
-    rounds instead of O(S).
-    """
-    n = idx.size
-    tgt = v[idx]
-    lo = idx - pig[idx]
-    out = idx
-    # seen[k, i] = k-th distinct non-target value walker i met (-1 empty);
-    # line ids are non-negative, so the sentinel never matches.
-    seen = np.full((assoc - 1, n), -1, dtype=v.dtype)
-    cnt = np.zeros(n, dtype=np.int64)
-    window = []
-    for lag in range(1, assoc + 1):
-        wl = v[idx - lag]
-        new = np.ones(n, dtype=bool)
-        # Consecutive duplicates are collapsed, so the adjacent lag
-        # always differs — compare only lags 1..lag-2.
-        for k in range(len(window) - 1):
-            new &= wl != window[k]
-        store = np.flatnonzero(new & (cnt < assoc - 1))
-        seen[cnt[store], store] = wl[store]
-        cnt += new
-        window.append(wl)
-    gone = cnt >= assoc
-    c = idx - assoc - 1
-    gone |= c < lo
-    c = np.maximum(c, 0)  # pin finished walkers' gathers in bounds
-    L = _SEGMENT
-    while True:
-        ngone = int(np.count_nonzero(gone))
-        if ngone == out.size:
-            return
-        if 4 * ngone >= out.size:
-            keep = np.flatnonzero(~gone)
-            out, tgt, lo, c, cnt = (out[keep], tgt[keep], lo[keep],
-                                    c[keep], cnt[keep])
-            seen = seen[:, keep]
-            gone = np.zeros(out.size, dtype=bool)
-        offs = np.arange(L, dtype=np.int64)
-        pos = c[None, :] - offs[:, None]
-        interesting = pos >= lo[None, :]
-        w = v[np.maximum(pos, 0)]
-        for k in range(assoc - 1):
-            interesting &= w != seen[k][None, :]
-        has = interesting.any(axis=0)
-        hi = np.flatnonzero(has & ~gone)
-        if hi.size:
-            j = interesting.argmax(axis=0)[hi]
-            ev = w[j, hi]
-            ishit = ev == tgt[hi]
-            if ishit.any():
-                hw = hi[ishit]
-                hit[out[hw]] = True
-                gone[hw] = True
-            rest = hi[~ishit]
-            if rest.size:
-                full = cnt[rest] == assoc - 1
-                gone[rest[full]] = True
-                gi = rest[~full]
-                if gi.size:
-                    seen[cnt[gi], gi] = ev[~ishit][~full]
-                    cnt[gi] += 1
-            c[hi] = c[hi] - j - 1
-        nh = ~has
-        if nh.any():
-            c[nh] -= L
-        gone |= c < lo
-        c = np.maximum(c, 0)
-        L = min(L * 2, _SEGMENT_MAX)
-
-
-_SEGMENT = 8
-_SEGMENT_MAX = 128
-
-
-def _lean_hits(v: np.ndarray, new_group: np.ndarray, assoc: int) -> np.ndarray:
-    """Exact grouped-LRU hit mask for shallow sets via shifted compares."""
-    m = int(v.size)
-    hit = np.zeros(m, dtype=bool)
-    if m == 0:
-        return hit
-    pig = _position_in_group(new_group)
-    if m < 2 ** 31:
-        pig = pig.astype(np.int32)
-    buf = np.empty(m, dtype=bool)
-    # Keep the raw lag-k equality masks for 2 <= k < assoc: the window-dup
-    # scan below reuses them as shifted views instead of re-comparing.
-    eqs = {}
-    for j in range(1, assoc + 1):
-        if j >= m:
-            break
-        if 2 <= j < assoc:
-            eq = np.empty(m, dtype=bool)
-            np.equal(v[j:], v[:-j], out=eq[j:])
-            eqs[j] = eq
-            np.logical_and(eq[j:], pig[j:] >= j, out=buf[j:])
-        else:
-            np.equal(v[j:], v[:-j], out=buf[j:])
-            np.logical_and(buf[j:], pig[j:] >= j, out=buf[j:])
-        np.logical_or(hit[j:], buf[j:], out=hit[j:])
-    if assoc < 3:
-        # The window is the whole LRU state: consecutive duplicates are
-        # collapsed, so positions t-1 and t-2 always hold distinct values.
-        return hit
-    # A window of `assoc` *distinct* values without v[t] is a certain
-    # miss; only windows containing a repeat stay ambiguous.  Adjacent
-    # window entries always differ, so check the non-adjacent pairs —
-    # pair (t-a, t-b) duplicates exactly when the lag-(b-a) mask fires at
-    # t-a, a pure shift of an already-computed compare.
-    dup_w = np.zeros(m, dtype=bool)
-    for a in range(1, assoc - 1):
-        for b in range(a + 2, assoc + 1):
-            if b >= m or (b - a) not in eqs:
-                continue
-            np.logical_or(dup_w[b:], eqs[b - a][b - a:m - a],
-                          out=dup_w[b:])
-    unresolved = np.flatnonzero(~hit & dup_w & (pig >= assoc))
-    if unresolved.size > _WALK_DENSITY * m:
-        # Dense ambiguity: the backward walkers would each scan long
-        # spans, so the bitset kernel's single forward sweep is cheaper
-        # than per-position event walks over most of the feed.
-        return lru_hits_grouped(v, None, assoc, group_starts=new_group)
-    if unresolved.size:
-        _walk_unresolved(v, pig, hit, unresolved, assoc)
-    return hit
-
-
-# Unresolved-walker fraction above which _lean_hits abandons the event
-# walkers for the bitset kernel: walker cost scales with walkers x span
-# while the bitset sweep is flat in ambiguity density.
-_WALK_DENSITY = 0.35
-
-
-# Deepest associativity the shifted-compare kernel handles before the
-# bitset kernel wins: its pairwise window scans cost O(assoc^2) vector
-# ops, overtaking the bitset kernel's O(assoc) word sweeps past ~8 ways.
-_LEAN_MAX_ASSOC = 8
-
-# Smallest post-strip survivor feed worth the shifted-compare kernel.
-# When stripping removes most of a deep-set feed the survivors are cheap
-# for the bitset kernel's single sweep, while the shifted-compare path
-# still pays its fixed window scans plus backward walks whose spans the
-# strip has stretched; below this size the bitset kernel wins outright.
-_LEAN_MIN_STRIPPED = 1 << 16
-
-
-def _dense_hits(v: np.ndarray, new_group: np.ndarray,
-                assoc: int) -> np.ndarray:
-    """Hit kernel for a collapsed grouped feed (no strip preprocessing)."""
-    if assoc > _LEAN_MAX_ASSOC:
-        return lru_hits_grouped(v, None, assoc, group_starts=new_group)
-    if v.size and int(v.max()) < 2 ** 31 - 1:
-        v = v.astype(np.int32, copy=False)
-    return _lean_hits(v, new_group, assoc)
-
-
-def _grouped_hits(v: np.ndarray, new_group: np.ndarray,
-                  assoc: int) -> np.ndarray:
-    """Dispatch: shifted-compare kernel (shallow) or bitset kernel (deep).
-
-    Feeds must be contiguous per-group streams with consecutive
-    duplicates collapsed.  Deep sets strip periodic-run interiors first —
-    they are guaranteed hits and exactly the positions that cost the
-    kernels the most.  Stripping keeps a run's first ``2p`` and last
-    ``p`` positions, which can leave an *adjacent* duplicate at the
-    junction (an unconditional hit); the shifted-compare kernel assumes
-    collapsed feeds, so those junctions are re-collapsed before it runs.
-    """
-    if assoc >= 6 and v.size >= 4096:
-        keep = strip_periodic_middles(v, new_group, assoc)
-        if not keep.all():
-            ki = np.flatnonzero(keep)
-            hit = np.ones(v.size, dtype=bool)
-            sub_v = v[ki]
-            sub_g = new_group[ki]
-            if (assoc <= _LEAN_MAX_ASSOC
-                    and sub_v.size >= _LEAN_MIN_STRIPPED):
-                dup = np.zeros(sub_v.size, dtype=bool)
-                np.equal(sub_v[1:], sub_v[:-1], out=dup[1:])
-                dup[1:] &= ~sub_g[1:]
-                if dup.any():
-                    di = np.flatnonzero(~dup)
-                    sub_hit = np.ones(sub_v.size, dtype=bool)
-                    sub_hit[di] = _dense_hits(sub_v[di], sub_g[di], assoc)
-                    hit[ki] = sub_hit
-                    return hit
-                hit[ki] = _dense_hits(sub_v, sub_g, assoc)
-            else:
-                hit[ki] = lru_hits_grouped(sub_v, None, assoc,
-                                           group_starts=sub_g)
-            return hit
-    return _dense_hits(v, new_group, assoc)
-
-
-def _sort_collapse(lines: np.ndarray, key: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray, np.ndarray]:
-    """Group a labelled stream and collapse in-group consecutive repeats.
-
-    Returns ``(order, kept, v, skey_kept, new_group)`` where ``order`` is
-    the stable grouping permutation, ``kept`` indexes its collapsed
-    positions and ``v``/``skey_kept``/``new_group`` describe the
-    collapsed feed (consecutive duplicates are unconditional hits and
-    never misses, so they can only matter to callers as hits).
-    """
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    svals = lines[order]
-    m = svals.size
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    np.not_equal(skey[1:], skey[:-1], out=new_group[1:])
-    keep = np.empty(m, dtype=bool)
-    keep[0] = True
-    np.not_equal(svals[1:], svals[:-1], out=keep[1:])
-    keep[1:] |= new_group[1:]
-    kept = np.flatnonzero(keep)
-    return order, kept, svals[kept], skey[kept], new_group[kept]
-
-
-def _group_key(lines: np.ndarray, sample_of: np.ndarray, num_sets: int,
-               num_samples: int) -> np.ndarray:
-    key = (lines & (num_sets - 1)) * num_samples + sample_of
-    if num_sets * num_samples <= 1 << 16:
-        return key.astype(np.uint16)
-    return key
-
-
 def prime_probe_vectors(traces: Sequence[Trace],
                         config: Optional[HierarchyConfig] = None,
                         epochs: int = 8) -> np.ndarray:
@@ -413,13 +156,13 @@ def prime_probe_vectors(traces: Sequence[Trace],
     # they run uninterrupted across epoch boundaries: filter the full
     # per-sample streams level by level in program order.
     for geo in (config.l1, config.l2):
-        order, kept, v, _, gb = _sort_collapse(
-            stream, _group_key(stream, sample_of, geo.num_sets, n))
-        hits = _grouped_hits(v, gb, geo.associativity)
+        order, _, sorted_miss = lru_misses_by_key(
+            stream, lru_group_key(stream, sample_of, geo.num_sets, n),
+            geo.associativity)
         # Restore stream order by scattering into a position mask — the
         # miss indices are distinct, so this beats re-sorting them.
         mask = np.zeros(stream.size, dtype=bool)
-        mask[order[kept[~hits]]] = True
+        mask[order[sorted_miss]] = True
         miss = np.flatnonzero(mask)
         stream = stream[miss]
         sample_of = sample_of[miss]
@@ -431,11 +174,10 @@ def prime_probe_vectors(traces: Sequence[Trace],
     # Every (sample, epoch, set) cell is an independent cold-LRU run over
     # the victim's LLC feed (see module docstring); one combined key makes
     # all cells contiguous groups of a single stable sort.
-    key = (stream & (num_sets - 1)) * cells + sample_of * epochs + epoch_of
-    key = key.astype(np.uint16 if num_sets * cells <= 1 << 16 else np.int64)
-    _, kept, v, skey, gb = _sort_collapse(stream, key)
-    khit = _grouped_hits(v, gb, assoc)
-    miss_keys = skey[~khit].astype(np.int64)
+    key = lru_group_key(stream, sample_of * epochs + epoch_of, num_sets,
+                        cells)
+    _, skey, miss = lru_misses_by_key(stream, key, assoc)
+    miss_keys = skey[miss].astype(np.int64)
     counts = np.bincount(miss_keys, minlength=num_sets * cells)
     counts = np.minimum(counts, assoc)
     return np.ascontiguousarray(
@@ -710,19 +452,12 @@ def _level_pass(lines: np.ndarray, samp: np.ndarray, ep: np.ndarray,
         cont = lastrun & (ins < m)
         cont &= pk == skey[np.minimum(ins, m - 1)]
         gb[fp[cont] + 1] = False
-    keep = np.empty(total, dtype=bool)
-    keep[0] = True
-    np.not_equal(fv[1:], fv[:-1], out=keep[1:])
-    keep[1:] |= gb[1:]
-    kept = np.flatnonzero(keep)
-    hit = _grouped_hits(fv[kept], gb[kept], assoc)
-    # Counted misses restored to stream order (collapsed repeats and
-    # priming prefixes can only be hits/uncounted, never misses):
-    # gathering a spliced-slot miss mask through ``fo`` reads each
-    # original's verdict without carrying an index array through the
-    # splice, and a position-mask scatter beats sorting the indices.
+    # Counted misses restored to stream order (priming prefixes are
+    # uncounted): gathering a spliced-slot miss mask through ``fo`` reads
+    # each original's verdict without carrying an index array through
+    # the splice, and a position-mask scatter beats sorting the indices.
     missed = np.zeros(total, dtype=bool)
-    missed[kept[~hit]] = True
+    missed[grouped_lru_misses(fv, gb, assoc)] = True
     mask = np.zeros(m, dtype=bool)
     mask[order[missed[fo]]] = True
     oi = np.flatnonzero(mask)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,10 +167,23 @@ class SimBackend(HpcBackend):
             f"{self._noise_seed}:{category}:{index}".encode()).digest()
         return np.random.default_rng(int.from_bytes(digest[:16], "little"))
 
-    def _noisy(self, counts: EventCounts,
+    def _noisy(self, counts: Mapping[HpcEvent, int],
                noise_key: Optional[Tuple[int, int]] = None) -> EventCounts:
+        """Noisy readout of one measurement's ground-truth counts.
+
+        The generator is the keyed one of ``noise_key`` under the
+        ``"per-sample"`` scheme (unkeyed calls auto-assign
+        ``(-1, 0)``, ``(-1, 1)``, ...) and the sequential stream under
+        ``"stream"``.  Each event gets a relative Gaussian jitter and
+        then a half-normal offset, in event order, from one
+        ``Generator.normal`` call; events whose relative noise or floor
+        is zero are left out of the draw, so the generator's bit stream
+        advances exactly as per-event scalar draws with that skip
+        pattern would advance it.
+        """
         if self.noise_scale == 0.0:
-            return counts
+            return (counts if isinstance(counts, EventCounts)
+                    else EventCounts(counts))
         if self.noise_scheme == "per-sample":
             if noise_key is None:
                 noise_key = (-1, self._auto_index)
@@ -178,27 +191,6 @@ class SimBackend(HpcBackend):
             rng = self._keyed_rng(*noise_key)
         else:
             rng = self._rng
-        noisy = {}
-        for event in counts:
-            value = float(counts[event])
-            rel = self.noise_profile.get(event, 0.002) * self.noise_scale
-            floor = DEFAULT_NOISE_FLOOR.get(event, 0.0) * self.noise_scale
-            jitter = rng.normal(0.0, rel * value) if rel else 0.0
-            offset = abs(rng.normal(0.0, floor)) if floor else 0.0
-            noisy[event] = max(0, int(round(value + jitter + offset)))
-        return EventCounts(noisy)
-
-    def _noisy_packed(self, counts: Dict[HpcEvent, int],
-                      rng: np.random.Generator) -> EventCounts:
-        """Vectorized :meth:`_noisy`: one batched draw per measurement.
-
-        Bit-identical to the per-event loop: a single
-        ``Generator.normal`` call with an array of scales consumes the
-        underlying bit stream exactly like the equivalent sequence of
-        scalar draws, and events whose relative noise or floor is zero
-        are excluded from the draw (never drawn-and-discarded), matching
-        the loop's skip pattern.
-        """
         events = tuple(counts)
         coeffs = self._noise_coeffs.get(events)
         if coeffs is None:
@@ -278,24 +270,10 @@ class SimBackend(HpcBackend):
             obs.inc("backend.measurements", len(samples),
                     backend=self.name)
             _count_replayed(traces)
-        results: List[Measurement] = []
-        for i, (prediction, counts) in enumerate(
-                zip(predictions, counts_list)):
-            if self.noise_scale == 0.0:
-                results.append(Measurement(prediction, EventCounts(counts)))
-                continue
-            if self.noise_scheme == "per-sample":
-                if noise_keys is None:
-                    key = (-1, self._auto_index)
-                    self._auto_index += 1
-                else:
-                    key = noise_keys[i]
-                rng = self._keyed_rng(*key)
-            else:
-                rng = self._rng
-            results.append(Measurement(prediction,
-                                       self._noisy_packed(counts, rng)))
-        return results
+        keys = noise_keys if noise_keys is not None else [None] * len(samples)
+        return [Measurement(prediction, self._noisy(counts, key))
+                for prediction, counts, key in zip(predictions, counts_list,
+                                                   keys)]
 
     def measure(self, sample: np.ndarray,
                 noise_key: Optional[Tuple[int, int]] = None) -> Measurement:

@@ -45,9 +45,8 @@ from ..trace.recorder import (OP_BULK_BRANCH, OP_DYN_BRANCH, OP_INSTR,
                               OP_MEM, Trace)
 from .cpu import CpuConfig, CpuModel
 from .events import HpcEvent
-from .vectorized import (_lru_bitset_grouped, _lru_walker_grouped,
-                         counter_states_before, gshare_history,
-                         lru_level_misses, tlb_hits)
+from .vectorized import (counter_states_before, gshare_history,
+                         lru_hits_grouped, lru_level_misses)
 
 __all__ = ["MeasurementPlan"]
 
@@ -420,13 +419,9 @@ class MeasurementPlan:
         flat[pos] = pg_all
         gs = np.zeros(total, dtype=bool)
         gs[gstarts] = True
-        # The TLB is one fully-associative LRU per sample — exactly the
-        # grouped bitset kernel with each sample as its own group.
-        hit, big = _lru_bitset_grouped(flat, gs, capacity)
-        if big is not None:
-            bi = np.flatnonzero(big)
-            hit[bi] = _lru_walker_grouped(flat[bi], gs[bi], capacity)
-        miss_mask = ~hit
+        # The TLB is one fully-associative LRU per sample — a grouped
+        # LRU with each sample as its own group.
+        miss_mask = ~lru_hits_grouped(flat, gs, capacity)
         if r:
             pig = np.arange(total, dtype=np.int64)
             pig -= np.repeat(gstarts, sizes)

@@ -9,16 +9,32 @@ in :mod:`repro.uarch.cache`, :mod:`repro.uarch.tlb` and
 ``tests/uarch``), it just arrives at them without a Python-level loop per
 access.
 
-The central trick for LRU is the *backward k-th-distinct chain*: in a
-stream whose consecutive elements differ (consecutive duplicates are
-trivial hits and collapse away first), access ``t`` hits an ``A``-way LRU
-set iff its value equals one of the ``A`` most recent **distinct** values,
-whose positions ``w1 > w2 > ... > wA`` satisfy ``w1 = t-1``, ``w2 = t-2``
-and ``w(k+1) =`` the first position below ``w(k)-1`` whose value differs
-from all of ``v[w1..wk]``.  Those chains are found for every position at
-once with masked backward scans; per-set streams from convolution scatter
-kernels are dominated by period-2 alternation runs, which the scans skip
-in one step via precomputed run boundaries (see ``lru_hits_grouped``).
+Every LRU replay in the package — the measurement plan's cache levels
+and TLB, and both batched cache attackers in :mod:`repro.attack.engine`
+— resolves hits through one dispatcher, :func:`lru_hits_grouped`, over
+concatenated per-group streams (one group per simulated set and sample).
+It picks one of two exact kernels by associativity:
+
+* shallow sets (fewer than 6 ways, the L1 point) take the
+  *shifted-compare* kernel.  With consecutive duplicates collapsed, an
+  access whose value recurs in the previous ``assoc`` positions is a
+  certain hit, and one whose previous ``assoc`` positions hold ``assoc``
+  distinct values without it is a certain miss.  The few windows that
+  contain a repeat are finished by vectorized backward event walkers.
+* deep sets (L2, LLC, TLB) take the *bitset* kernel.  An access hits iff
+  fewer than ``assoc`` distinct other values were touched since its
+  previous occurrence; with at most 64 distinct values per group that
+  count is a popcount over a range-OR of per-value bit masks.  Groups
+  with more values fall back to the shifted-compare kernel.
+
+Groups are independent, so the dispatcher runs long feeds as
+group-aligned slices, which bounds each kernel's full-length temporaries.
+
+One front end feeds the dispatcher (:func:`lru_misses_by_key`,
+:func:`grouped_lru_misses`): it stable-sorts a labelled stream into
+groups, collapses consecutive repeats and, for deep sets, strips the
+interiors of periodic runs (:func:`strip_periodic_middles`).  Every
+position it drops is a guaranteed hit.
 
 Counter-table predictors reduce to a segmented scan of clamp maps:
 ``k`` same-direction updates of a saturating counter compose into the map
@@ -29,24 +45,49 @@ per-branch "state before update" from which predictions follow.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "counter_states_before",
+    "grouped_lru_misses",
     "gshare_history",
+    "lru_group_key",
     "lru_hits_grouped",
-    "lru_level_hits",
     "lru_level_misses",
+    "lru_misses_by_key",
     "strip_periodic_middles",
-    "tlb_hits",
 ]
 
 
 # ----------------------------------------------------------------------
-# Grouped LRU (set-associative caches)
+# Grouped LRU (set-associative caches and the TLB)
 # ----------------------------------------------------------------------
+
+# Associativity from which the bitset kernel replaces the shifted-compare
+# kernel and the front end strips periodic-run interiors.  The
+# shifted-compare kernel's pairwise window scans cost O(assoc^2) vector
+# ops, and shallow streams keep too little periodic structure per strip
+# pass to repay its scans.
+_DEEP_ASSOC = 6
+
+# Positions per kernel call.  Every kernel builds several temporaries as
+# long as its feed (the bitset kernel's sort and range-OR table, the
+# walkers' gathers); slices of this size keep them cache-sized and cap
+# their memory.  Recorded tournament attack feeds (up to 2.4 M
+# positions per call) ran 1.4-1.8x faster and with 2-8x less transient
+# memory in slices; measurement feeds were unchanged.
+_CHUNK = 1 << 18
+
+
+def _position_in_group(new_group: np.ndarray) -> np.ndarray:
+    starts = np.flatnonzero(new_group)
+    lens = np.empty(starts.size, dtype=np.int64)
+    lens[:-1] = starts[1:] - starts[:-1]
+    lens[-1] = new_group.size - starts[-1]
+    return np.arange(new_group.size, dtype=np.int64) - np.repeat(starts, lens)
+
 
 def strip_periodic_middles(values: np.ndarray, group_starts: np.ndarray,
                            assoc: int, max_period: int = 8,
@@ -62,14 +103,14 @@ def strip_periodic_middles(values: np.ndarray, group_starts: np.ndarray,
     accesses — one full period, touching every distinct run value.  So a
     maximal period-``p`` interval can be collapsed to its first ``2p``
     and last ``p`` positions without changing any kept position's
-    hit/miss outcome or the set state at run exit.  Positions removed
-    this way are exactly the ones that force long backward walks in
-    ``lru_hits_grouped``.
+    hit/miss outcome or the set state at run exit.
 
     One period is stripped per pass (greedily, by coverage), then the
     shortened stream is re-examined: each single-period pass is exact on
     its input, so the composition is exact, and compound structure that
     only becomes periodic after an inner period collapses is still found.
+    Each pass re-collapses the consecutive duplicates its splices create,
+    so the kept stream satisfies :func:`lru_hits_grouped`'s precondition.
 
     Returns:
         Boolean keep mask aligned with ``values``; removed positions are
@@ -82,12 +123,7 @@ def strip_periodic_middles(values: np.ndarray, group_starts: np.ndarray,
     kv, kg = values, group_starts
     max_p = min(assoc, max_period)
     while kv.size >= 8:
-        starts = np.flatnonzero(kg)
-        lens = np.empty(starts.size, dtype=np.int64)
-        lens[:-1] = starts[1:] - starts[:-1]
-        lens[-1] = kv.size - starts[-1]
-        pig = np.arange(kv.size, dtype=np.int64)
-        pig -= np.repeat(starts, lens)
+        pig = _position_in_group(kg)
         best_p, best_cnt, best_alt = 0, int(kv.size * min_frac), None
         alt = np.zeros(kv.size, dtype=bool)
         for p in range(2, max_p + 1):
@@ -138,74 +174,55 @@ def strip_periodic_middles(values: np.ndarray, group_starts: np.ndarray,
     return keep
 
 
-def _walker_fallback(v: np.ndarray, avoid: List[np.ndarray],
-                     cand: np.ndarray, active: np.ndarray) -> None:
-    """Exact per-walker backward scan for positions the vector rounds left.
-
-    Guaranteed to terminate: every group is preceded by ``assoc`` unique
-    sentinel values that can never be in a walker's avoid set.
-    """
-    for i in active.tolist():
-        bad = {int(av[i]) for av in avoid}
-        p = int(cand[i])
-        while int(v[p]) in bad:
-            p -= 1
-        cand[i] = p
-
-
-def lru_hits_grouped(values: np.ndarray, group_ids: np.ndarray,
-                     assoc: int, max_rounds: int = 96,
-                     group_starts: Optional[np.ndarray] = None) -> np.ndarray:
-    """Hit mask of concatenated per-set access streams under LRU.
+def lru_hits_grouped(values: np.ndarray, group_starts: np.ndarray,
+                     assoc: int) -> np.ndarray:
+    """Hit mask of concatenated per-group streams under LRU.
 
     Args:
-        values: Line ids, the concatenation of contiguous per-group
-            (per-set) streams with **no consecutive duplicates inside a
-            group** (collapse them first; they are unconditional hits).
-        group_ids: Same-length array marking group membership; groups must
-            occupy contiguous runs.  Values only separate neighbours —
-            they need not be dense or sorted.  Ignored (may be ``None``)
-            when ``group_starts`` is given.
-        assoc: Set associativity (LRU depth).
-        max_rounds: Vectorized scan rounds per chain before the remaining
-            walkers fall back to the exact per-walker scan.
-        group_starts: Optional precomputed boolean mask of group-start
-            positions (callers that already track boundaries skip the
-            neighbour-compare pass).
+        values: Non-negative line ids (or page numbers), the
+            concatenation of contiguous per-group streams with **no
+            consecutive duplicates inside a group** (collapse them
+            first; they are unconditional hits).
+        group_starts: Boolean mask of group-start positions.  Each group
+            replays through its own cold LRU set; a warm set is modelled
+            by a priming prefix of its resident values, oldest first.
+        assoc: Associativity (LRU depth) of every group.
 
     Returns:
         Boolean hit mask aligned with ``values``.
 
-    Two exact kernels sit behind this entry point.  Low associativity
-    (the L1 point of the hierarchy) runs the backward k-th-distinct
-    chain walker, whose window pruning decides almost every position in
-    ``assoc`` shifted compares.  High associativity runs the bitset
-    kernel: deep sets almost always cycle through at most 64 distinct
-    lines per (set, sample) stream, where an LRU set behaves exactly
-    like a fully-associative LRU and the hit test reduces to a popcount
-    over a range-OR of per-value bit masks — no backward walks at all.
-    Groups that overflow 64 distinct values fall back to the walker.
+    Below 6 ways the shifted-compare kernel decides every position.  From
+    6 ways up the bitset kernel does, and hands the groups that hold more
+    than 64 distinct values to the shifted-compare kernel (see the module
+    docstring for both).  Long feeds are cut at group starts into slices
+    of about ``_CHUNK`` positions, one kernel call each.
     """
+    if assoc < 1:
+        raise ValueError(f"assoc must be >= 1, got {assoc}")
     n = int(values.size)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    if assoc < 1:
-        raise ValueError(f"assoc must be >= 1, got {assoc}")
-    values = np.ascontiguousarray(values)
-    if group_starts is not None:
-        new_group = group_starts
-    else:
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        np.not_equal(group_ids[1:], group_ids[:-1], out=new_group[1:])
-    if assoc >= 6 and n >= 1024:
-        hit, big = _lru_bitset_grouped(values, new_group, assoc)
-        if big is not None:
-            bi = np.flatnonzero(big)
-            hit[bi] = _lru_walker_grouped(values[bi], new_group[bi],
-                                          assoc, max_rounds)
-        return hit
-    return _lru_walker_grouped(values, new_group, assoc, max_rounds)
+    # Groups are independent, so any group-aligned split is exact: cut at
+    # the last group start at or before each multiple of _CHUNK.
+    starts = np.flatnonzero(group_starts)
+    cuts = np.unique(starts[np.searchsorted(
+        starts, np.arange(_CHUNK, n, _CHUNK), side="right") - 1])
+    edges = np.concatenate(([0], cuts[cuts > 0], [n]))
+    hit = np.empty(n, dtype=bool)
+    for a, b in zip(edges[:-1], edges[1:]):
+        hit[a:b] = _hits_one_call(values[a:b], group_starts[a:b], assoc)
+    return hit
+
+
+def _hits_one_call(values: np.ndarray, group_starts: np.ndarray,
+                   assoc: int) -> np.ndarray:
+    if assoc < _DEEP_ASSOC:
+        return _lean_hits(values, group_starts, assoc)
+    hit, big = _lru_bitset_grouped(values, group_starts, assoc)
+    if big is not None:
+        bi = np.flatnonzero(big)
+        hit[bi] = _lean_hits(values[bi], group_starts[bi], assoc)
+    return hit
 
 
 def _lru_bitset_grouped(values: np.ndarray, group_starts: np.ndarray,
@@ -222,20 +239,57 @@ def _lru_bitset_grouped(values: np.ndarray, group_starts: np.ndarray,
     Returns:
         ``(hit, big)`` where ``big`` is ``None`` or a boolean mask of
         positions in groups with more than 64 distinct values, whose
-        ``hit`` entries are undefined and must come from the walker.
+        ``hit`` entries are undefined and must come from the
+        shifted-compare kernel.
+    """
+    t_idx, lo, bits, big = _reuse_queries(values, group_starts)
+    inside = t_idx > lo                   # query range [lo, t-1]
+    more_recent = np.zeros(t_idx.size, dtype=np.int64)
+    if inside.any():
+        li, ti = lo[inside], t_idx[inside]
+        k = (np.frexp((ti - li).astype(np.float64))[1] - 1).astype(np.int64)
+        # Doubling range-OR table, filled in place up to the deepest level
+        # a query reads; spans never exceed one group because every query
+        # stays between two occurrences within a single group.
+        table = np.empty((int(k.max()) + 1, bits.size), dtype=np.uint64)
+        table[0] = bits
+        for level in range(1, table.shape[0]):
+            step = 1 << (level - 1)
+            below, row = table[level - 1], table[level]
+            np.bitwise_or(below[:-step], below[step:], out=row[:-step])
+            row[-step:] = below[-step:]
+        more_recent[np.flatnonzero(inside)] = np.bitwise_count(
+            table[k, li] | table[k, ti - (np.int64(1) << k)])
+    hit = np.zeros(bits.size, dtype=bool)
+    hit[t_idx] = more_recent < capacity
+    return hit, big
+
+
+def _reuse_queries(values: np.ndarray, group_starts: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                              Optional[np.ndarray]]:
+    """Reuse pairs and rank bits of a grouped stream for the bitset kernel.
+
+    Returns ``(t_idx, lo, bits, big)``: the positions that re-access a
+    value of their group, one past each one's previous occurrence, the
+    ``1 << rank`` mask of every access's value among its group's distinct
+    values, and ``big`` as :func:`_lru_bitset_grouped` returns it.  Kept
+    apart so the sort's full-stream temporaries are freed before the
+    range-OR table is built.
     """
     n = int(values.size)
-    # Sort by (group, value), position-stable: LSD order — stable sort by
-    # value first, then a stable radix pass on the (dense, small) group
-    # id composes to the pair order with positions ascending inside ties.
+    # Sort by (group, value), position-stable.  The stream arrives grouped,
+    # so with a group-major key the sort only has to order the values
+    # inside each group (timsort gallops across the already ordered
+    # groups); id ranges too wide for one int64 key sort in two passes.
     gid = np.cumsum(group_starts)        # 1-based group id
-    ngroups = int(gid[-1])
-    o1 = np.argsort(values, kind="stable")
-    g1 = gid[o1].astype(np.uint16 if ngroups <= 1 << 16 else np.int64)
-    o2 = np.argsort(g1, kind="stable")
-    order = o1[o2]
+    span = int(values.max()) + 1
+    if int(gid[-1]) <= (1 << 62) // span:
+        order = np.argsort(gid * span + values, kind="stable")
+    else:
+        order = np.lexsort((values, gid))
     sv = values[order]
-    sg = g1[o2]
+    sg = gid[order]
     new_pair = np.empty(n, dtype=bool)
     new_pair[0] = True
     np.not_equal(sv[1:], sv[:-1], out=new_pair[1:])
@@ -246,9 +300,9 @@ def _lru_bitset_grouped(values: np.ndarray, group_starts: np.ndarray,
     # Previous occurrence of each access's (group, value), original index
     # space: consecutive sorted entries of one pair are consecutive
     # occurrences.
-    prev = np.full(n, -1, dtype=np.int64)
     cont = np.flatnonzero(~new_pair)
-    prev[order[cont]] = order[cont - 1]
+    t_idx = order[cont]
+    lo = order[cont - 1] + 1
     # Dense per-group rank of each value and per-group distinct counts.
     c = np.cumsum(new_pair)
     gs_sorted = np.flatnonzero(gchange)
@@ -264,286 +318,213 @@ def _lru_bitset_grouped(values: np.ndarray, group_starts: np.ndarray,
         rank_sorted = np.minimum(rank_sorted, 63)
     rank = np.empty(n, dtype=np.uint64)
     rank[order] = rank_sorted.astype(np.uint64)
-    bits = np.uint64(1) << rank
-    # Doubling range-OR table; spans never exceed one group because every
-    # query stays between two occurrences within a single group.
-    max_len = int(glen.max())
-    levels = [bits]
-    span = 1
-    while span < max_len:
-        top = levels[-1]
-        nxt = top.copy()
-        np.bitwise_or(top[:-span], top[span:], out=nxt[:-span])
-        levels.append(nxt)
-        span <<= 1
-    hit = np.zeros(n, dtype=bool)
-    t_idx = np.flatnonzero(prev >= 0)
-    lo = prev[t_idx] + 1                  # query range [lo, t-1]
-    ln = t_idx - lo
-    inside = ln > 0
-    more_recent = np.zeros(t_idx.size, dtype=np.int64)
-    if inside.any():
-        li, ti = lo[inside], t_idx[inside]
-        seg = ti - li
-        k = (np.frexp(seg.astype(np.float64))[1] - 1).astype(np.int64)
-        table = np.stack(levels[:int(k.max()) + 1])
-        more_recent[np.flatnonzero(inside)] = np.bitwise_count(
-            table[k, li] | table[k, ti - (np.int64(1) << k)])
-    hit[t_idx] = more_recent < capacity
-    return hit, big
+    return t_idx, lo, np.uint64(1) << rank, big
 
 
-def _lru_walker_grouped(values: np.ndarray, new_group: np.ndarray,
-                        assoc: int, max_rounds: int = 96) -> np.ndarray:
-    """Backward k-th-distinct chain kernel (see :func:`lru_hits_grouped`)."""
-    n = int(values.size)
-    # Pad every group with `assoc` unique negative sentinels so backward
-    # chains stop at group boundaries without bounds checks: sentinels
-    # never equal a real line id nor each other, so they are never in an
-    # avoid set and always terminate a walk.  Everything runs in int32 —
-    # line ids are far below 2**31 and halving the element width roughly
-    # halves both stream passes and gather traffic (guarded fallback for
-    # exotic id ranges).
-    pad = assoc
-    starts = np.flatnonzero(new_group)
-    ngroups = int(starts.size)
-    total = n + pad * ngroups
-    dtype = (np.int32 if total < 2**31 - 1
-             and int(values.max(initial=0)) < 2**31 - 1 else np.int64)
-    lens = np.empty(ngroups, dtype=np.int64)
-    lens[:-1] = starts[1:] - starts[:-1]
-    lens[-1] = n - starts[-1]
-    pos = np.arange(n, dtype=dtype)
-    pos += np.repeat(np.arange(pad, pad * (ngroups + 1), pad,
-                               dtype=dtype), lens)
-    # Sentinel slots sit structurally before each group's first element —
-    # filled directly, no full-array scan needed.
-    sent_pos = ((starts + np.arange(ngroups, dtype=np.int64) * pad)[:, None]
-                + np.arange(pad, dtype=np.int64)[None, :]).ravel()
-    v = np.empty(total, dtype=dtype)
-    v[sent_pos] = -np.arange(2, ngroups * pad + 2, dtype=dtype)
-    v[pos] = values
-
-    # Reuse-distance pruning on the padded array, all contiguous shifted
-    # compares.  The positions of the `assoc` most recent distinct values
-    # are the last occurrences of those values, so access t hits iff its
-    # previous occurrence lies among them:
-    #   * v[t] recurring within the last `assoc` positions guarantees a
-    #     hit (at most assoc-1 other positions fit in between);
-    #   * the last `assoc` positions holding `assoc` distinct values with
-    #     v[t] not among them guarantees a miss (the whole LRU window is
-    #     right there).  Sentinels count as distinct, which stays correct:
-    #     a window crossing the group start means the group tail holds the
-    #     entire history, so an unseen v[t] is a first access.
-    # Only the remaining positions — inside cyclic runs with fewer than
-    # `assoc` values — need a chain walk.
-    hitp = np.zeros(total, dtype=bool)
-    buf = np.empty(total, dtype=bool)
+def _lean_hits(v: np.ndarray, new_group: np.ndarray, assoc: int) -> np.ndarray:
+    """Shifted-compare kernel (see :func:`lru_hits_grouped`)."""
+    m = int(v.size)
+    # Line ids almost always fit int32; halving the element width halves
+    # every compare pass and gather below.
+    if int(v.max()) < 2 ** 31 - 1:
+        v = v.astype(np.int32, copy=False)
+    hit = np.zeros(m, dtype=bool)
+    pig = _position_in_group(new_group)
+    if m < 2 ** 31:
+        pig = pig.astype(np.int32)
+    buf = np.empty(m, dtype=bool)
+    # Keep the raw lag-k equality masks for 2 <= k < assoc: the window-dup
+    # scan below reuses them as shifted views instead of re-comparing.
+    eqs = {}
     for j in range(1, assoc + 1):
-        np.equal(v[j:], v[:-j], out=buf[j:])
-        np.logical_or(hitp[j:], buf[j:], out=hitp[j:])
-    hit = hitp[pos]
-    if assoc < 3:
-        # assoc <= 2 is fully decided by the window: w1 = t-1, w2 = t-2.
-        return hit
-    dcp = np.ones(total, dtype=np.int8)
-    dcp[2:] += 1         # j=2: the direct predecessor pair is collapsed,
-    for j in range(3, assoc + 1):      # so it is always distinct
-        newj = v[:total - j] != v[j - 1:total - 1]
-        for i in range(2, j - 1):
-            newj &= v[:total - j] != v[j - i:total - i]
-        dcp[j:] += newj
-    walkers = np.flatnonzero(~hit & (dcp[pos] < assoc))
-    if walkers.size == 0:
-        return hit
-
-    # Scatter-kernel per-set streams are dominated by short-period cyclic
-    # runs (weight line vs. a few output lines), the pathological case for
-    # step-by-one walks.  For period p, the last position <= c where v
-    # breaks the p-periodicity bounds the run: inside it every position's
-    # value is one of the p "slot" values v[c], ..., v[c-p+1], so a walker
-    # whose avoid set covers all slots may leap straight below the run.
-    # Break positions are kept as sorted index lists queried with
-    # ``searchsorted`` — with the period range capped, query volume stays
-    # proportional to the (rare) walkers, so binary searches beat any
-    # per-position table by an O(stream) build pass per period.
-    period_breaks: dict = {}
-
-    def break_before(period: int, where: np.ndarray) -> np.ndarray:
-        breaks = period_breaks.get(period)
-        if breaks is None:
-            bm = np.empty(total, dtype=bool)
-            bm[:period] = True
-            np.not_equal(v[period:], v[:-period], out=bm[period:])
-            breaks = np.flatnonzero(bm)
-            period_breaks[period] = breaks
-        idx = np.searchsorted(breaks, where, side="right") - 1
-        return breaks[idx].astype(dtype)
-
-    # A jump at period p needs p consecutive slots inside the avoid set
-    # (at most assoc-1 values), and consecutive duplicates are collapsed,
-    # so patterns with period >= assoc contribute almost no productive
-    # jumps — capping here keeps the per-period break lists worth building.
-    max_period = max(2, min(assoc - 1, 16))
-    # Compact walker state: `out_idx` maps back into `hit`, `vt` is the
-    # value being searched for, `cand` the current chain position and
-    # `avoid` the values of the chain so far.  Walkers drop out (and every
-    # array is filtered down) as soon as a chain lands on their own value
-    # (hit) or a sentinel (group exhausted: miss).
-    out_idx = walkers
-    t_w = pos[walkers]
-    vt = v[t_w]
-    avoid: List[np.ndarray] = [v[t_w - 1], v[t_w - 2]]
-    cand = t_w - dtype(2)
-    live = avoid[1] >= 0
-    if not live.all():
-        out_idx, vt, cand = out_idx[live], vt[live], cand[live]
-        avoid = [av[live] for av in avoid]
-    for _ in range(2, assoc):
-        if cand.size == 0:
+        if j >= m:
             break
-        cand = cand - dtype(1)
-        # Round state for the walkers still searching this chain link,
-        # compacted every round so compares stay contiguous.
-        act = np.flatnonzero(np.ones(cand.size, dtype=bool))
-        c = cand.copy()
-        av_act = avoid
-        rounds = 0
-        while act.size:
-            vc = v[c]
-            bad = np.zeros(act.size, dtype=bool)
-            for av in av_act:
-                bad |= vc == av
-            act = act[bad]
-            if act.size == 0:
-                break
-            c = c[bad]
-            av_act = [av[bad] for av in av_act]
-            rounds += 1
-            if rounds > max_rounds:
-                _walker_fallback(v, av_act, c, np.arange(act.size))
-                cand[act] = c
-                break
-            best = c - dtype(1)
-            # Slot-by-slot: as long as slots 0..p-1 are all in the avoid
-            # set, the walker may jump below any p-periodic run at c.
-            # Walkers drop out of the covered subset as soon as one slot
-            # escapes their avoid set.
-            sel = np.arange(act.size, dtype=np.int64)
-            cs = c
-            av_sel = av_act
-            for period in range(2, max_period + 1):
-                slot = v[cs - dtype(period - 1)]
-                in_avoid = np.zeros(sel.size, dtype=bool)
-                for av in av_sel:
-                    in_avoid |= slot == av
-                if not in_avoid.any():
-                    break
-                sel = sel[in_avoid]
-                cs = cs[in_avoid]
-                av_sel = [av[in_avoid] for av in av_sel]
-                target = break_before(period, cs) - dtype(period)
-                best[sel] = np.minimum(best[sel], target)
-            c = best
-            cand[act] = best
-        # The chain lands on the next most recent distinct value.  Equal
-        # to v[t]: that is the previous occurrence inside the LRU window —
-        # a hit.  A (negative) sentinel: fewer distinct values exist —
-        # a miss.  Either way the walker is resolved and drops out.
-        vw = v[cand]
-        found = vw == vt
-        if found.any():
-            hit[out_idx[found]] = True
-        live = ~found & (vw >= 0)
-        if not live.all():
-            out_idx, vt, cand = out_idx[live], vt[live], cand[live]
-            avoid = [av[live] for av in avoid]
-            vw = vw[live]
-        avoid.append(vw)
+        if 2 <= j < assoc:
+            eq = np.empty(m, dtype=bool)
+            np.equal(v[j:], v[:-j], out=eq[j:])
+            eqs[j] = eq
+            np.logical_and(eq[j:], pig[j:] >= j, out=buf[j:])
+        else:
+            np.equal(v[j:], v[:-j], out=buf[j:])
+            np.logical_and(buf[j:], pig[j:] >= j, out=buf[j:])
+        np.logical_or(hit[j:], buf[j:], out=hit[j:])
+    if assoc < 3:
+        # The window is the whole LRU state: consecutive duplicates are
+        # collapsed, so positions t-1 and t-2 always hold distinct values.
+        return hit
+    # A window of `assoc` *distinct* values without v[t] is a certain
+    # miss; only windows containing a repeat stay ambiguous.  Adjacent
+    # window entries always differ, so check the non-adjacent pairs —
+    # pair (t-a, t-b) duplicates exactly when the lag-(b-a) mask fires at
+    # t-a, a pure shift of an already-computed compare.
+    dup_w = np.zeros(m, dtype=bool)
+    for a in range(1, assoc - 1):
+        for b in range(a + 2, assoc + 1):
+            if b >= m or (b - a) not in eqs:
+                continue
+            np.logical_or(dup_w[b:], eqs[b - a][b - a:m - a],
+                          out=dup_w[b:])
+    unresolved = np.flatnonzero(~hit & dup_w & (pig >= assoc))
+    if unresolved.size:
+        _walk_unresolved(v, pig, hit, unresolved, assoc)
     return hit
 
 
-def _level_core(stream: np.ndarray, sample_of: np.ndarray,
-                num_samples: int, num_sets: int, assoc: int):
-    """Shared sort/collapse/kernel pipeline of one cache level.
+_SEGMENT = 8
+_SEGMENT_MAX = 128
 
-    Returns ``(order, skey, svals, kept, khit)``: the stable
-    (set, sample) sort, the surviving (collapsed) sorted positions and
-    their kernel hit mask.  Every position dropped by collapsing is an
-    unconditional hit.
+
+def _walk_unresolved(v: np.ndarray, pig: np.ndarray, hit: np.ndarray,
+                     idx: np.ndarray, assoc: int) -> None:
+    """Exact backward scans for the window-ambiguous positions.
+
+    ``_lean_hits`` guarantees every ``idx`` has ``pig >= assoc``, no
+    target in its lag window and at least one in-window duplicate — so
+    the window's distinct values (at most ``assoc - 1`` of them) seed
+    each walker's avoid set directly from pairwise lag compares.
+
+    After seeding, a walker can change state at most ``assoc`` more
+    times: its avoid set never evicts, so only a target match or a value
+    outside the set matters.  Each round gathers a segment of ``L``
+    positions, jumps every walker to its first such *event* (``argmax``
+    over the segment), and applies it; stalled walkers — hot loops whose
+    values the avoid set already covers — skip the whole segment.  ``L``
+    doubles per round, so a walk of span ``S`` costs O(assoc + S / Lmax)
+    rounds instead of O(S).
     """
-    n = int(stream.size)
-    # One combined (set, sample) key: a single stable argsort groups every
-    # (sample, set) stream into a contiguous run in program order (sample
-    # blocks are already contiguous and ascending).  For any realistic
-    # geometry x batch the key fits uint16, where NumPy's stable argsort
-    # is an O(n) radix sort.  Built in-place to avoid extra full-stream
-    # temporaries.
-    key = stream & (num_sets - 1)
+    n = idx.size
+    tgt = v[idx]
+    lo = idx - pig[idx]
+    out = idx
+    # seen[k, i] = k-th distinct non-target value walker i met (-1 empty);
+    # line ids are non-negative, so the sentinel never matches.
+    seen = np.full((assoc - 1, n), -1, dtype=v.dtype)
+    cnt = np.zeros(n, dtype=np.int64)
+    window = []
+    for lag in range(1, assoc + 1):
+        wl = v[idx - lag]
+        new = np.ones(n, dtype=bool)
+        # Consecutive duplicates are collapsed, so the adjacent lag
+        # always differs — compare only lags 1..lag-2.
+        for k in range(len(window) - 1):
+            new &= wl != window[k]
+        store = np.flatnonzero(new & (cnt < assoc - 1))
+        seen[cnt[store], store] = wl[store]
+        cnt += new
+        window.append(wl)
+    gone = cnt >= assoc
+    c = idx - assoc - 1
+    gone |= c < lo
+    c = np.maximum(c, 0)  # pin finished walkers' gathers in bounds
+    L = _SEGMENT
+    while True:
+        ngone = int(np.count_nonzero(gone))
+        if ngone == out.size:
+            return
+        if 4 * ngone >= out.size:
+            keep = np.flatnonzero(~gone)
+            out, tgt, lo, c, cnt = (out[keep], tgt[keep], lo[keep],
+                                    c[keep], cnt[keep])
+            seen = seen[:, keep]
+            gone = np.zeros(out.size, dtype=bool)
+        offs = np.arange(L, dtype=np.int64)
+        pos = c[None, :] - offs[:, None]
+        interesting = pos >= lo[None, :]
+        w = v[np.maximum(pos, 0)]
+        for k in range(assoc - 1):
+            interesting &= w != seen[k][None, :]
+        has = interesting.any(axis=0)
+        hi = np.flatnonzero(has & ~gone)
+        if hi.size:
+            j = interesting.argmax(axis=0)[hi]
+            ev = w[j, hi]
+            ishit = ev == tgt[hi]
+            if ishit.any():
+                hw = hi[ishit]
+                hit[out[hw]] = True
+                gone[hw] = True
+            rest = hi[~ishit]
+            if rest.size:
+                full = cnt[rest] == assoc - 1
+                gone[rest[full]] = True
+                gi = rest[~full]
+                if gi.size:
+                    seen[cnt[gi], gi] = ev[~ishit][~full]
+                    cnt[gi] += 1
+            c[hi] = c[hi] - j - 1
+        nh = ~has
+        if nh.any():
+            c[nh] -= L
+        gone |= c < lo
+        c = np.maximum(c, 0)
+        L = min(L * 2, _SEGMENT_MAX)
+
+
+def lru_group_key(lines: np.ndarray, sample_of: np.ndarray, num_sets: int,
+                  num_samples: int) -> np.ndarray:
+    """(set, sample) group key of a labelled line stream.
+
+    ``sample_of`` may be any per-position cell label below
+    ``num_samples`` (a sample, or a (sample, epoch) pair).  One stable
+    argsort by the key makes every (set, cell) stream a contiguous run in
+    program order; for any realistic geometry x batch the key fits
+    uint16, where NumPy's stable argsort is an O(n) radix sort.  Built
+    in place to avoid extra full-stream temporaries.
+    """
+    key = lines & (num_sets - 1)
     np.multiply(key, num_samples, out=key)
     key += sample_of
-    key = key.astype(np.uint16 if num_sets * num_samples <= 1 << 16
-                     else np.int64)
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    svals = stream[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.not_equal(skey[1:], skey[:-1], out=new_group[1:])
-    # Consecutive duplicates within a group are unconditional hits that do
-    # not change LRU order; collapse them before the chain kernel.
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(svals[1:], svals[:-1], out=keep[1:])
-    keep[1:] |= new_group[1:]
-    kept = np.flatnonzero(keep)
-    kv = svals[kept]
-    kg = new_group[kept]
-    # Collapse the interior of periodic runs next: every removed position
-    # is an unconditional hit (see strip_periodic_middles), and the
-    # remaining core is what the kernels actually have to think about.
-    # Worth it only at deeper levels — shallow-assoc streams (L1) keep
-    # too little periodic structure per strip pass to repay the scans.
-    if assoc >= 6:
-        core = strip_periodic_middles(kv, kg, assoc)
-    else:
-        core = np.ones(kv.size, dtype=bool)
-    if core.all():
-        khit = lru_hits_grouped(kv, None, assoc, group_starts=kg)
-    else:
-        ci = np.flatnonzero(core)
-        chit = lru_hits_grouped(kv[ci], None, assoc, group_starts=kg[ci])
-        khit = np.ones(kv.size, dtype=bool)
-        khit[ci] = chit
-    return order, skey, svals, kept, khit
+    return key.astype(np.uint16 if num_sets * num_samples <= 1 << 16
+                      else np.int64, copy=False)
 
 
-def lru_level_hits(stream: np.ndarray, sample_of: np.ndarray,
-                   num_sets: int, assoc: int) -> np.ndarray:
-    """Hit mask of one cache level for a batch of cold per-sample streams.
+def lru_misses_by_key(lines: np.ndarray, key: np.ndarray, assoc: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LRU misses of a labelled stream, one cold set per key.
 
     Args:
-        stream: Concatenated line-id streams of all samples (each sample's
-            slice in program order).
-        sample_of: Sample index per position (non-decreasing).
-        num_sets: Power-of-two set count of the level.
-        assoc: Associativity of the level.
+        lines: Non-negative line ids in program order.
+        key: Group label per position (e.g. :func:`lru_group_key`).
+        assoc: Associativity of every set.
 
     Returns:
-        Boolean hit mask aligned with ``stream``; each sample is simulated
-        against its own cold cache.
+        ``(order, skey, miss)``: the stable grouping permutation, the
+        sorted keys and the ascending positions of the misses in that
+        sorted order (``order[miss]`` maps them back to ``lines``).
     """
-    n = int(stream.size)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    num_samples = int(sample_of[-1]) + 1
-    order, _, _, kept, khit = _level_core(stream, sample_of, num_samples,
-                                          num_sets, assoc)
-    hits_sorted = np.ones(n, dtype=bool)
-    hits_sorted[kept] = khit
-    hits = np.empty(n, dtype=bool)
-    hits[order] = hits_sorted
-    return hits
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    new_group = np.empty(skey.size, dtype=bool)
+    new_group[:1] = True
+    np.not_equal(skey[1:], skey[:-1], out=new_group[1:])
+    return order, skey, grouped_lru_misses(lines[order], new_group, assoc)
+
+
+def grouped_lru_misses(values: np.ndarray, group_starts: np.ndarray,
+                       assoc: int) -> np.ndarray:
+    """Miss positions of contiguous per-group streams under LRU.
+
+    Unlike :func:`lru_hits_grouped`, ``values`` may repeat consecutively:
+    repeats are collapsed here and, from 6 ways up, periodic-run
+    interiors are stripped (both are guaranteed hits) before the
+    dispatcher decides the rest.
+
+    Returns:
+        Ascending indices into ``values`` of the accesses that miss.
+    """
+    n = int(values.size)
+    keep = np.empty(n, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    keep[1:] |= group_starts[1:]
+    kept = np.flatnonzero(keep)
+    kv = values[kept]
+    kg = group_starts[kept]
+    if assoc >= _DEEP_ASSOC:
+        core = np.flatnonzero(strip_periodic_middles(kv, kg, assoc))
+        if core.size < kv.size:
+            kept, kv, kg = kept[core], kv[core], kg[core]
+    return kept[~lru_hits_grouped(kv, kg, assoc)]
 
 
 def lru_level_misses(stream: np.ndarray, sample_of: np.ndarray,
@@ -577,120 +558,16 @@ def lru_level_misses(stream: np.ndarray, sample_of: np.ndarray,
         miss totals and the counted misses' lines/sample ids in this
         level's sort order.
     """
-    if stream.size == 0:
-        z = np.zeros(0, dtype=stream.dtype)
-        return (np.zeros(num_samples, dtype=np.int64), z,
-                np.zeros(0, dtype=np.int32))
-    order, skey, svals, kept, khit = _level_core(
-        stream, sample_of, num_samples, num_sets, assoc)
-    mk = kept[np.flatnonzero(~khit)]
+    order, skey, miss = lru_misses_by_key(
+        stream, lru_group_key(stream, sample_of, num_sets, num_samples),
+        assoc)
+    src = order[miss]
     if counted_from:
-        mk = mk[order[mk] >= counted_from]
-    miss_sample = (skey[mk] % num_samples).astype(np.int32)
+        counted = src >= counted_from
+        miss, src = miss[counted], src[counted]
+    miss_sample = (skey[miss] % num_samples).astype(np.int32)
     miss_counts = np.bincount(miss_sample, minlength=num_samples)
-    return miss_counts, svals[mk], miss_sample
-
-
-# ----------------------------------------------------------------------
-# Fully-associative LRU (TLB)
-# ----------------------------------------------------------------------
-
-def tlb_hits(pages: np.ndarray, capacity: int,
-             resident: Optional[np.ndarray] = None) -> np.ndarray:
-    """Hit mask of one page-number stream through a fully-associative LRU.
-
-    Args:
-        pages: Page-number stream (consecutive duplicates are fine — they
-            are recognised as hits like the reference model).
-        capacity: Number of translations the TLB holds.
-        resident: Optional warm content, least-recently-used first, as
-            :meth:`repro.uarch.tlb.Tlb.resident_pages` returns it.
-
-    Returns:
-        Boolean hit mask aligned with ``pages``.
-    """
-    t = int(pages.size)
-    if t == 0:
-        return np.zeros(0, dtype=bool)
-    prefix = 0
-    if resident is not None and len(resident):
-        prefix = len(resident)
-        pages = np.concatenate([
-            np.asarray(resident, dtype=np.int64),
-            np.asarray(pages, dtype=np.int64)])
-    seq = np.asarray(pages, dtype=np.int64)
-    n = seq.size
-    uniq, inv = np.unique(seq, return_inverse=True)
-    if n > 1 and uniq.size <= 64:
-        hit = _tlb_hits_bitset(inv, capacity)
-    else:
-        hit = _tlb_hits_matrix(inv, uniq.size, capacity)
-    return hit[prefix:]
-
-
-def _tlb_hits_bitset(inv: np.ndarray, capacity: int) -> np.ndarray:
-    """Distinct-page recency via uint64 page masks and range-OR queries.
-
-    With at most 64 distinct pages each access becomes a one-bit mask and
-    the LRU decision reduces to ``popcount(OR of masks strictly between an
-    access and its previous occurrence) < capacity``; range ORs come from
-    a doubling sparse table.
-    """
-    n = inv.size
-    # Previous occurrence of each access's page: group positions by page
-    # (stable), neighbours within a group are consecutive occurrences.
-    order = np.argsort(inv, kind="stable")
-    prev = np.full(n, -1, dtype=np.int64)
-    same = inv[order][1:] == inv[order][:-1]
-    prev[order[1:][same]] = order[:-1][same]
-    bits = np.uint64(1) << inv.astype(np.uint64)
-    levels = [bits]
-    span = 1
-    while span < n:
-        top = levels[-1]
-        nxt = top.copy()
-        np.bitwise_or(top[:-span], top[span:], out=nxt[:-span])
-        levels.append(nxt)
-        span <<= 1
-    hit = np.zeros(n, dtype=bool)
-    seen = prev >= 0
-    t_idx = np.flatnonzero(seen)
-    lo = prev[t_idx] + 1                 # query range [lo, t-1]
-    length = t_idx - lo
-    inside = length > 0
-    more_recent = np.zeros(t_idx.size, dtype=np.int64)
-    if inside.any():
-        li, ti, qi = lo[inside], t_idx[inside], np.flatnonzero(inside)
-        ln = ti - li
-        k = (np.frexp(ln.astype(np.float64))[1] - 1).astype(np.int64)
-        table = np.stack(levels[:int(k.max()) + 1]) if levels else None
-        left = table[k, li]
-        right = table[k, ti - (np.int64(1) << k)]
-        more_recent[qi] = np.bitwise_count(left | right)
-    hit[t_idx] = more_recent < capacity
-    return hit
-
-
-def _tlb_hits_matrix(inv: np.ndarray, nuniq: int,
-                     capacity: int) -> np.ndarray:
-    """Reference recency-rank path for streams with many distinct pages."""
-    n = inv.size
-    # lastocc[p, t] = last position <= t where page p occurred (-1 never):
-    # a scatter of positions followed by a running maximum along time.
-    idx_dtype = np.int32 if n < 2**31 - 1 else np.int64
-    lastocc = np.full((nuniq, n), -1, dtype=idx_dtype)
-    lastocc[inv, np.arange(n)] = np.arange(n, dtype=idx_dtype)
-    np.maximum.accumulate(lastocc, axis=1, out=lastocc)
-    hit = np.zeros(n, dtype=bool)
-    if n > 1:
-        before = lastocc[:, :-1]                      # state before t >= 1
-        prev_occ = before[inv[1:], np.arange(n - 1)]  # v[t]'s last use
-        # Under fully-associative LRU the resident set at time t is the
-        # `capacity` most recently used distinct pages, so a seen page
-        # hits iff fewer than `capacity` pages were used after it.
-        more_recent = (before > prev_occ[None, :]).sum(axis=0)
-        hit[1:] = (prev_occ >= 0) & (more_recent < capacity)
-    return hit
+    return miss_counts, stream[src], miss_sample
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.errors import BackendError
-from repro.hpc.sim_backend import SimBackend
+from repro.hpc.sim_backend import DEFAULT_NOISE_FLOOR, SimBackend
+from repro.uarch.events import HpcEvent
 
 
 @pytest.fixture(scope="module")
@@ -132,17 +133,51 @@ class TestRetrySessionRouting:
             session.measure_category(samples, category=0)
 
 
+def scalar_noise(backend, counts, rng):
+    """Reference noise model: one scalar draw per event, jitter first."""
+    noisy = {}
+    for event in counts:
+        value = float(counts[event])
+        rel = backend.noise_profile.get(event, 0.002) * backend.noise_scale
+        floor = DEFAULT_NOISE_FLOOR.get(event, 0.0) * backend.noise_scale
+        jitter = rng.normal(0.0, rel * value) if rel else 0.0
+        offset = abs(rng.normal(0.0, floor)) if floor else 0.0
+        noisy[event] = max(0, int(round(value + jitter + offset)))
+    return noisy
+
+
 class TestPackedNoise:
     def test_packed_draw_equals_scalar_draws(self, tiny_trained_model,
                                              samples):
-        # _noisy_packed must consume the generator bit stream exactly like
-        # the per-event scalar path, so identical keys give identical
-        # noise whichever path produced the measurement.
+        # Identical keys give identical noise whichever entry point
+        # produced the measurement.
         backend = SimBackend(tiny_trained_model)
         key = (3, 7)
         want = backend.measure(samples[0], noise_key=key)
         got = backend.measure_batch([samples[0]], noise_keys=[key])[0]
         assert_identical([want], [got])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_packed_draw_matches_scalar_reference(self, tiny_trained_model,
+                                                  seed):
+        # The single packed draw must consume the generator bit stream
+        # exactly like per-event scalar draws, including the events whose
+        # relative noise is zeroed out of the draw.
+        rng = np.random.default_rng(seed)
+        events = list(HpcEvent)
+        traced = SimBackend(tiny_trained_model).traced
+        for trial in range(200):
+            profile = {event: 0.0 for event in events
+                       if rng.random() < 0.3}
+            backend = SimBackend(tiny_trained_model, noise_profile=profile,
+                                 noise_scale=float(rng.choice([0.5, 1, 4])),
+                                 traced=traced)
+            counts = {event: int(rng.integers(0, 10 ** int(
+                rng.integers(1, 9)))) for event in events}
+            key = (seed, trial)
+            got = backend._noisy(counts, key)
+            want = scalar_noise(backend, counts, backend._keyed_rng(*key))
+            assert {event: got[event] for event in events} == want
 
 
 def per_sample_collect(backend, dataset, categories, count, warmup):

@@ -16,6 +16,7 @@ from repro.hpc.sim_backend import SimBackend
 from repro.uarch.cpu import CpuConfig, CpuModel
 from repro.uarch.engine import MeasurementPlan
 from repro.uarch.hierarchy import HierarchyConfig
+from repro.uarch.tlb import TlbConfig
 
 BATCH = 10  # crosses the engine's internal REPLAY_CHUNK boundary
 
@@ -48,6 +49,16 @@ class TestReplayBatchBitIdentity:
             want = naive_counts(config, trace)
             assert list(got[index].keys()) == list(want.keys())
             assert got[index] == want
+
+    @pytest.mark.parametrize("entries", [1, 4])
+    def test_small_tlb_matches_naive_replay(self, traced_samples, entries):
+        # TLBs below 6 entries take the shifted-compare kernel instead of
+        # the bitset kernel the stock 32-entry TLB uses.
+        _, traces = traced_samples
+        config = CpuConfig(tlb=TlbConfig(entries=entries))
+        got = MeasurementPlan(config).replay_batch(traces)
+        for index, trace in enumerate(traces):
+            assert got[index] == naive_counts(config, trace)
 
     def test_chunking_is_invisible(self, traced_samples):
         # Any internal chunk size must yield the same counts: each sample
