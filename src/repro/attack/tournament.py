@@ -11,8 +11,9 @@ first.
 
 Cost discipline
 ---------------
-The expensive step is victim tracing, not attack replay, so the tournament
-collects each distinct *trace variant* exactly once and shares it:
+The expensive steps are victim tracing and the HPC cells' microarchitecture
+replay, not attack replay, so the tournament traces each distinct *trace
+variant* of each pool image exactly once and shares it:
 
 * ``base`` traces serve the baseline cells of both cache attackers **and**
   the noise-injection cells — dummy-work noise perturbs counter readings,
@@ -22,13 +23,26 @@ collects each distinct *trace variant* exactly once and shares it:
 * ``hardened`` traces (constant-footprint kernels) serve the
   constant-footprint cells of both cache attackers.
 
+Every trace variant of a model has one :class:`~repro.hpc.recording.TraceRecording`
+per pass.  The trace matrix traces through it, so the HPC cells — warm-up
+included — measure the very traces the cache attackers saw: the first HPC
+cell of a variant replays them through the
+:class:`~repro.uarch.MeasurementPlan` once, and the noise-injection cell
+draws its noise on the baseline cell's *clean* counts instead of replaying
+them again.  Each cell still draws its own noise exactly as it would on
+fresh counts, so no cell's result changes.  Images the matrix did not trace
+(store hits carry no prediction; ``--attackers hpc`` has no matrix) are
+traced by the first HPC cell that needs them and recorded then.
+
 Variants live in a shared :class:`repro.attack.TraceStore`, so repeated
 tournaments (and the standalone attack CLIs) reuse traced passes across
 processes.  When ``workers > 1`` the missing traced passes fan out over a
 process pool under :class:`repro.resilience.ChunkSupervisor` — crashed
 workers are replaced and their chunks re-traced — with per-worker telemetry
-shipped back and merged deterministically.  Attack replay itself runs in
-the parent through the vectorized batch engine (:mod:`repro.attack.engine`).
+shipped back and merged deterministically; workers return full traces with
+their predictions, so the pool fills the recordings too.  Attack replay
+itself runs in the parent through the vectorized batch engine
+(:mod:`repro.attack.engine`).
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ from ..countermeasures import (
 )
 from ..errors import MeasurementError
 from ..hpc.session import MeasurementCache, MeasurementSession
+from ..hpc.recording import TraceRecording
 from ..nn.model import Sequential
 from ..obs import distributed
 from ..obs import runtime as obs
@@ -69,7 +84,7 @@ from .attacker import profile_and_attack
 from .features import profile_attack_vectors
 from .flush_reload import FlushReloadAttacker, weight_lines
 from .prime_probe import PrimeProbeAttacker
-from .trace_store import TraceStore, traces_from_arrays, traces_to_arrays
+from .trace_store import TraceStore
 
 __all__ = [
     "ATTACKERS",
@@ -116,7 +131,11 @@ class TournamentCell:
         n_train: Profiling samples.
         n_test: Attacked samples.
         wall_seconds: Cell evaluation wall-clock (replay + profiling; trace
-            collection is shared and reported separately).
+            collection is shared and reported separately).  The first HPC
+            cell of a trace variant (baseline, constant-footprint) carries
+            that variant's one microarchitecture replay; the
+            noise-injection cell only draws noise on the baseline's clean
+            counts.
     """
 
     dataset: str
@@ -171,7 +190,9 @@ class TournamentReport:
         samples_per_category: Attack-pool size per category.
         epochs: Temporal resolution of the cache attackers.
         workers: Process-pool width used for trace collection.
-        trace_seconds: Wall-clock spent collecting (or loading) traces.
+        trace_seconds: Wall-clock spent collecting (or loading) the
+            trace matrix.  Runs without a cache attacker have no matrix;
+            their HPC cells trace the pool themselves.
         wall_seconds: Total tournament wall-clock.
     """
 
@@ -266,7 +287,12 @@ def _init_trace_worker(jobs, telemetry, parent_context) -> None:
 
 
 def _trace_chunk(spec: _TraceChunk):
-    """Trace one (job, category) image batch; returns serialized arrays."""
+    """Trace one (job, category) image batch.
+
+    Returns the full ``(prediction, trace)`` pair of every image: the
+    parent records them for the HPC cells, which replay every op, not just
+    the memory ops a :class:`TraceStore` entry keeps.
+    """
     if _TRACE_JOBS is None:  # pragma: no cover - initializer contract
         raise MeasurementError("trace worker used before initialization")
     model, trace_config, images = _TRACE_JOBS[(spec.job, spec.category)]
@@ -277,31 +303,34 @@ def _trace_chunk(spec: _TraceChunk):
                   category=spec.category, samples=len(images),
                   pid=os.getpid()):
         traced = TracedInference(model, trace_config)
-        traces = [traced.trace_sample(sample)[1] for sample in images]
-        arrays = traces_to_arrays(traces)
+        pairs = [traced.trace_sample(sample) for sample in images]
         obs.inc("tournament.traced", len(images),
                 job=spec.job, category=spec.category)
     payload = distributed.worker_payload() if capture else None
-    return spec.job, spec.category, arrays, payload
+    return spec.job, spec.category, pairs, payload
 
 
 class _ModelTracers:
-    """One model's tracer per trace variant, built on first use and shared.
+    """One model's tracer and recording per trace variant, for one pass.
 
     ``"base"`` traces the model as configured, ``"hardened"`` through the
     constant-footprint kernels.  Building a tracer lays out the address
     space and prepares every layer's line tables, so every user in a pass
     — the runtime-cost probe, the serial trace matrix, the Flush+Reload
-    weight lines and the HPC backends — takes its tracer from here.
+    weight lines and the HPC backends — takes its tracer from here.  The
+    variant's :class:`~repro.hpc.recording.TraceRecording` (see the module notes)
+    is built on first use too.
     """
 
     def __init__(self, model: Sequential, config: ExperimentConfig):
         base = config.trace_config or TraceConfig()
         self.model = model
         self.engine = config.engine
+        self.cpu_config = config.cpu_config
         self.configs: Dict[str, TraceConfig] = {
             "base": base, "hardened": constant_footprint_config(base)}
         self._built: Dict[str, TracedInference] = {}
+        self._recordings: Dict[str, TraceRecording] = {}
 
     def __getitem__(self, variant: str) -> TracedInference:
         traced = self._built.get(variant)
@@ -309,6 +338,14 @@ class _ModelTracers:
             traced = self._built[variant] = TracedInference(
                 self.model, self.configs[variant], engine=self.engine)
         return traced
+
+    def recording(self, variant: str) -> TraceRecording:
+        """The pass's recording of ``variant``'s traced pool images."""
+        recording = self._recordings.get(variant)
+        if recording is None:
+            recording = self._recordings[variant] = TraceRecording(
+                self[variant], self.cpu_config)
+        return recording
 
 
 def _variant_of(countermeasure: str) -> str:
@@ -388,12 +425,16 @@ def _collect_trace_matrix(jobs: Sequence[_TraceJob], samples: int,
                       workers=min(workers, len(chunks))) as span:
             results = supervisor.run(_trace_chunk, chunks)
             for key in sorted(results):
-                name, category, arrays, payload = results[key]
+                name, category, pairs, payload = results[key]
                 distributed.merge_worker_payload(
                     payload, parent_span=span if obs.is_enabled() else None)
-                traces = traces_from_arrays(arrays)
-                collected[(name, category)] = traces
                 job = by_name[name]
+                recording = job.tracers.recording(job.variant)
+                for image, (prediction, trace) in zip(
+                        job.images_by_category[category], pairs):
+                    recording.add(image, prediction, trace)
+                traces = [trace for _prediction, trace in pairs]
+                collected[(name, category)] = traces
                 if store is not None:
                     store.put(TraceStore.key_for(job.model, job.trace_config,
                                                  job.dataset_name, category,
@@ -402,8 +443,8 @@ def _collect_trace_matrix(jobs: Sequence[_TraceJob], samples: int,
                     progress(f"traced {name} category {category}")
     else:
         for job, category in missing:
-            traced = job.tracers[job.variant]
-            traces = [traced.trace_sample(sample)[1]
+            recording = job.tracers.recording(job.variant)
+            traces = [recording.trace(sample)[1]
                       for sample in job.images_by_category[category]]
             collected[(job.name, category)] = traces
             if store is not None:
@@ -650,12 +691,17 @@ def run_tournament(configs: Sequence[ExperimentConfig],
             for config, tracers, pool, pool_seed in zoo:
                 for countermeasure in countermeasures:
                     variant = _variant_of(countermeasure)
+                    # Every HPC cell of a variant shares its recording:
+                    # traced once (by the trace matrix when there is one),
+                    # replayed once, each cell drawing its own noise.
+                    recording = tracers.recording(variant)
                     # The constant-footprint victim is the configured one
                     # with hardened kernels (what harden_backend builds).
                     backend = make_backend(
                         replace(config,
                                 trace_config=tracers.configs[variant]),
-                        tracers.model, traced=tracers[variant])
+                        tracers.model, traced=tracers[variant],
+                        recording=recording)
                     if countermeasure == "noise-injection":
                         backend = NoiseInjectionBackend(
                             backend, amplitude=noise_amplitude,
@@ -674,6 +720,9 @@ def run_tournament(configs: Sequence[ExperimentConfig],
                     with obs.span("tournament.cell",
                                   dataset=config.dataset, attacker="hpc",
                                   countermeasure=countermeasure):
+                        # One replay of the variant's recorded pool, here
+                        # in the parent, also before keyed workers fork.
+                        recording.settle()
                         distributions = session.collect(
                             pool, config.categories, samples,
                             cache_tag=(f"tournament-gen{GENERATOR_VERSION}"

@@ -18,7 +18,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..datasets.synthetic_cifar import SyntheticObjects
 from ..datasets.synthetic_mnist import SyntheticDigits
@@ -43,6 +43,9 @@ from ..trace.traced_model import TracedInference
 from ..uarch.cpu import CpuConfig
 from .evaluator import Evaluator
 from .leakage import LeakageReport
+
+if TYPE_CHECKING:
+    from ..hpc.recording import TraceRecording
 
 #: Supported dataset identifiers.
 DATASETS = ("mnist", "cifar10")
@@ -296,15 +299,18 @@ def resolve_backend_choice(config: ExperimentConfig) -> str:
 
 
 def make_backend(config: ExperimentConfig, model: Sequential,
-                 traced: Optional[TracedInference] = None) -> HpcBackend:
+                 traced: Optional[TracedInference] = None,
+                 recording: Optional[TraceRecording] = None) -> HpcBackend:
     """The measurement backend for this configuration.
 
     Honors ``config.backend`` (``"sim"``, ``"perf"`` or ``"auto"``) and
     attaches the configured retry policy where the backend supports it.
     ``traced`` hands a prebuilt tracer of ``model`` under
     ``config.trace_config`` to the simulated backend (see
-    :class:`~repro.hpc.sim_backend.SimBackend`); the perf backend runs the
-    real model and ignores it.
+    :class:`~repro.hpc.sim_backend.SimBackend`), and ``recording`` a
+    :class:`~repro.hpc.recording.TraceRecording` it shares with other
+    backends of one pass; the perf backend runs the real model and
+    ignores both.
     """
     choice = resolve_backend_choice(config)
     if choice == "perf":
@@ -318,6 +324,7 @@ def make_backend(config: ExperimentConfig, model: Sequential,
         noise_scheme=config.noise_scheme,
         engine=config.engine,
         traced=traced,
+        recording=recording,
     )
 
 

@@ -12,19 +12,23 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from ..errors import BackendError
 from ..obs import runtime as obs
 from ..nn.model import Sequential
-from ..trace.recorder import TraceConfig
+from ..trace.recorder import Trace, TraceConfig
 from ..trace.traced_model import TracedInference, reuse_tracer
 from ..uarch.cpu import CpuConfig, CpuModel
 from ..uarch.engine import MeasurementPlan
 from ..uarch.events import EventCounts, HpcEvent
 from .backend import HpcBackend, Measurement
+
+if TYPE_CHECKING:  # the recording module imports this one
+    from .recording import TraceRecording
 
 #: Default relative noise per event.  Cycle-domain events jitter the most
 #: (they directly absorb OS interference); counted events jitter less.
@@ -57,17 +61,30 @@ DEFAULT_NOISE_FLOOR: Dict[HpcEvent, float] = {
 NOISE_SCHEMES = ("per-sample", "stream")
 
 
-def _count_replayed(traces) -> None:
+def _count_replayed(ops: int, mem_accesses: int) -> None:
     """Emit the ``trace.*`` counters of traces replayed through the plan.
 
     The per-sample path emits these from ``Trace.replay``, once per
     measurement; keeping the data-derived totals identical makes the
     deterministic-telemetry contract hold whichever path (and whatever
-    chunking) replayed a trace.
+    chunking) replayed a trace, and whether the plan replayed it or a
+    :class:`~repro.hpc.recording.TraceRecording` served its counts.
     """
-    obs.inc("trace.ops", sum(len(trace.ops) for trace in traces))
-    obs.inc("trace.mem_accesses",
-            sum(trace.memory_accesses for trace in traces))
+    obs.inc("trace.ops", ops)
+    obs.inc("trace.mem_accesses", mem_accesses)
+
+
+def _replay_traced(plan: MeasurementPlan,
+                   pairs: Sequence[Tuple[int, Trace]]
+                   ) -> List[Tuple[int, Mapping[HpcEvent, int]]]:
+    """``(prediction, clean counts)`` of freshly traced samples."""
+    traces = [trace for _prediction, trace in pairs]
+    counts_list = plan.replay_batch(traces)
+    if obs.is_enabled():
+        _count_replayed(sum(len(trace.ops) for trace in traces),
+                        sum(trace.memory_accesses for trace in traces))
+    return [(prediction, counts)
+            for (prediction, _trace), counts in zip(pairs, counts_list)]
 
 
 class SimBackend(HpcBackend):
@@ -99,6 +116,15 @@ class SimBackend(HpcBackend):
             ``trace_config`` and ``engine``, shared with other users of
             the same pair instead of building a second one; a mismatched
             tracer raises :class:`~repro.errors.ConfigError`.
+        recording: Optional
+            :class:`~repro.hpc.recording.TraceRecording` of ``model`` under
+            ``trace_config`` and ``cpu_config``, shared with other backends
+            of one pass: inside the plan's envelope, :meth:`measure_batch`
+            and :meth:`measure_clean_batch` take their clean counts from it
+            instead of tracing and replaying again (readouts are
+            unchanged).  Its tracer is used when ``traced`` is None; a
+            recording of another model or config raises
+            :class:`~repro.errors.ConfigError`.
     """
 
     name = "sim"
@@ -111,7 +137,8 @@ class SimBackend(HpcBackend):
                  seed: int = 0,
                  noise_scheme: str = "per-sample",
                  engine: str = "compiled",
-                 traced: Optional[TracedInference] = None):
+                 traced: Optional[TracedInference] = None,
+                 recording: Optional[TraceRecording] = None):
         if noise_scale < 0:
             raise BackendError(f"noise_scale must be >= 0, got {noise_scale}")
         if noise_scheme not in NOISE_SCHEMES:
@@ -129,8 +156,13 @@ class SimBackend(HpcBackend):
         self.seed = seed
         self.noise_scheme = noise_scheme
         self.engine = engine
+        if recording is not None:
+            recording.check(model, self.trace_config, self.cpu_config)
+            if traced is None:
+                traced = recording.traced
         self.traced = reuse_tracer(traced, model, self.trace_config,
                                    engine=engine)
+        self.recording = recording
         self.cpu = CpuModel(self.cpu_config, seed=seed)
         self._noise_seed = seed
         self._rng = np.random.default_rng(seed)
@@ -227,6 +259,9 @@ class SimBackend(HpcBackend):
         Configurations outside the plan's exact-vectorization envelope
         (non-LRU replacement, prefetchers, warm tasks, custom
         predictors) transparently fall back to the per-sample path.
+        With a :attr:`recording` attached, the clean counts come from it:
+        only images it has no counts for are traced (if unrecorded) and
+        replayed.
 
         Args:
             samples: Inputs to classify, one measurement each.
@@ -255,25 +290,22 @@ class SimBackend(HpcBackend):
                     for sample, key in zip(samples, noise_keys)]
         enabled = obs.is_enabled()
         start = time.perf_counter_ns() if enabled else 0
-        if self._plan is None:
-            self._plan = MeasurementPlan(self.cpu_config)
-        predictions = []
-        traces = []
-        for sample in samples:
-            prediction, trace = self.traced.trace_sample(sample)
-            predictions.append(prediction)
-            traces.append(trace)
-        counts_list = self._plan.replay_batch(traces)
+        if self.recording is not None:
+            replayed = self.recording.replay(samples)
+        else:
+            if self._plan is None:
+                self._plan = MeasurementPlan(self.cpu_config)
+            replayed = _replay_traced(
+                self._plan,
+                [self.traced.trace_sample(sample) for sample in samples])
         if enabled:
             obs.observe("backend.measure_batch_ns",
                         time.perf_counter_ns() - start, backend=self.name)
             obs.inc("backend.measurements", len(samples),
                     backend=self.name)
-            _count_replayed(traces)
         keys = noise_keys if noise_keys is not None else [None] * len(samples)
         return [Measurement(prediction, self._noisy(counts, key))
-                for prediction, counts, key in zip(predictions, counts_list,
-                                                   keys)]
+                for (prediction, counts), key in zip(replayed, keys)]
 
     def measure(self, sample: np.ndarray,
                 noise_key: Optional[Tuple[int, int]] = None) -> Measurement:
@@ -317,6 +349,8 @@ class SimBackend(HpcBackend):
         plan's exact-vectorization envelope the traces replay through
         :class:`repro.uarch.MeasurementPlan` (exact, so the counts equal
         the scalar replay's); otherwise each replays on :attr:`cpu`.
+        Inside the envelope a :attr:`recording`, when attached, serves
+        the counts of the per-sample traces :meth:`measure_batch` uses.
         """
         batch = np.asarray(samples, dtype=np.float64)
         if not MeasurementPlan.supports(self.cpu_config,
@@ -324,15 +358,15 @@ class SimBackend(HpcBackend):
             return [Measurement(prediction, counts)
                     for prediction, counts in self.traced.run_batch(batch,
                                                                     self.cpu)]
-        if self._plan is None:
-            self._plan = MeasurementPlan(self.cpu_config)
-        pairs = self.traced.trace_batch(batch)
-        traces = [trace for _prediction, trace in pairs]
-        counts_list = self._plan.replay_batch(traces)
-        if obs.is_enabled():
-            _count_replayed(traces)
+        if self.recording is not None:
+            replayed = self.recording.replay(batch)
+        else:
+            if self._plan is None:
+                self._plan = MeasurementPlan(self.cpu_config)
+            replayed = _replay_traced(self._plan,
+                                      self.traced.trace_batch(batch))
         return [Measurement(prediction, EventCounts(counts))
-                for (prediction, _trace), counts in zip(pairs, counts_list)]
+                for prediction, counts in replayed]
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256()

@@ -1,7 +1,9 @@
 """Leakage-tournament tests: matrix coverage, ranking, artifacts, reuse."""
 
+import collections
 import json
 
+import numpy as np
 import pytest
 
 from repro.attack.tournament import (
@@ -219,3 +221,102 @@ def test_one_tracer_per_trace_variant(tmp_path, monkeypatch,
                               attack_samples=4, epochs=4, models=models)
     assert len(built) > 2  # the reference really built per user
     assert _verdicts(shared) == _verdicts(unshared)
+
+
+def _collected(monkeypatch):
+    """Record the distributions every HPC cell's session collects."""
+    from repro.hpc.session import MeasurementSession
+
+    collected = []
+    collect = MeasurementSession.collect
+
+    def recorded(self, *args, **kwargs):
+        distributions = collect(self, *args, **kwargs)
+        collected.append(distributions)
+        return distributions
+
+    monkeypatch.setattr(MeasurementSession, "collect", recorded)
+    return collected
+
+
+def _same_distributions(want, got):
+    return (want.categories == got.categories and want.events == got.events
+            and all(np.array_equal(want.values(category, event),
+                                   got.values(category, event))
+                    for category in want.categories
+                    for event in want.events))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"attackers": ("hpc",)},
+    {"countermeasures": ("noise-injection",)},
+    {"workers": 2},
+], ids=["default", "hpc-only", "noise-injection", "workers-2"])
+def test_recorded_hpc_cells_match_unrecorded(tmp_path, monkeypatch,
+                                             tiny_trained_model, kwargs):
+    # The HPC cells read the pass's recordings; with the handle taken away
+    # from every backend, each cell traces and replays the pool itself.
+    # Every cell — and every HPC cell's distributions — must agree.
+    from repro.attack import tournament as tournament_module
+    from repro.core.experiment import make_backend
+
+    models = {"mnist": tiny_trained_model}
+    collected = _collected(monkeypatch)
+    recorded = run_tournament([tiny_config(tmp_path / "recorded")],
+                              attack_samples=4, epochs=4, models=models,
+                              **kwargs)
+    with_recording = list(collected)
+    collected.clear()
+
+    def unrecorded(config, model, traced=None, recording=None):
+        return make_backend(config, model, traced=traced)
+
+    monkeypatch.setattr(tournament_module, "make_backend", unrecorded)
+    bypassed = run_tournament([tiny_config(tmp_path / "bypassed")],
+                              attack_samples=4, epochs=4, models=models,
+                              **kwargs)
+    assert _verdicts(recorded) == _verdicts(bypassed)
+    assert with_recording and len(with_recording) == len(collected)
+    for want, got in zip(collected, with_recording):
+        assert _same_distributions(want, got)
+
+
+def test_each_pool_image_traced_and_replayed_once(tmp_path, monkeypatch,
+                                                  tiny_trained_model):
+    # A default serial pass traces each (trace variant, pool image) once —
+    # plus the runtime-cost probe once per variant — and the HPC cells,
+    # warm-up included, replay each of those traces at most once.
+    from repro.trace.traced_model import TracedInference
+    from repro.uarch.engine import MeasurementPlan
+
+    traced = collections.Counter()   # (trace config, image) -> traces
+    origin = {}                      # id(trace) -> (key, trace)
+    replayed = collections.Counter()
+    trace_sample = TracedInference.trace_sample
+    replay_batch = MeasurementPlan.replay_batch
+
+    def counted_trace(self, sample):
+        prediction, trace = trace_sample(self, sample)
+        image = np.ascontiguousarray(sample, dtype=np.float64).tobytes()
+        key = (repr(self.config), image)
+        traced[key] += 1
+        origin[id(trace)] = (key, trace)  # keeps the trace (and its id)
+        return prediction, trace
+
+    def counted_replay(self, traces):
+        for trace in traces:
+            replayed[origin.get(id(trace), ("untraced", None))[0]] += 1
+        return replay_batch(self, traces)
+
+    monkeypatch.setattr(TracedInference, "trace_sample", counted_trace)
+    monkeypatch.setattr(MeasurementPlan, "replay_batch", counted_replay)
+    report = run_tournament([tiny_config(tmp_path)], attack_samples=4,
+                            epochs=4, models={"mnist": tiny_trained_model})
+    assert len(report.cells) == len(ATTACKERS) * len(COUNTERMEASURES)
+    pool_images = 2 * 4  # categories x attack samples
+    assert sum(traced.values()) == 2 * pool_images + 2
+    assert set(traced.values()) == {1}
+    assert "untraced" not in replayed
+    assert len(replayed) == 2 * pool_images
+    assert set(replayed.values()) == {1}

@@ -339,3 +339,185 @@ class TestCleanBatchReplay:
         assert planned._plan is not None
         assert got == want
         assert got[0] > 0 and got[1] > 0
+
+
+class TestTraceRecording:
+    """Backends reading a TraceRecording return a fresh backend's readouts."""
+
+    @staticmethod
+    def recording(model, samples=(), **kwargs):
+        from repro.hpc.recording import TraceRecording
+
+        recording = TraceRecording(SimBackend(model).traced, **kwargs)
+        for sample in samples:  # recorded ahead, as the trace matrix does
+            recording.trace(sample)
+        return recording
+
+    @pytest.mark.parametrize("ahead", [True, False],
+                             ids=["recorded-ahead", "recorded-lazily"])
+    @pytest.mark.parametrize("scheme,keyed", [("per-sample", True),
+                                              ("per-sample", False),
+                                              ("stream", False)],
+                             ids=["keyed", "auto-index", "stream"])
+    def test_readouts_equal_a_fresh_backend(self, tiny_trained_model,
+                                            samples, ahead, scheme, keyed):
+        recording = self.recording(tiny_trained_model,
+                                   samples if ahead else ())
+        fresh = SimBackend(tiny_trained_model, seed=4, noise_scheme=scheme)
+        served = SimBackend(tiny_trained_model, seed=4, noise_scheme=scheme,
+                            recording=recording)
+        keys = [(1, index) for index in range(4)] if keyed else None
+        # The second round is served entirely from recorded counts, and
+        # every noise stream and auto index must have advanced alike.
+        for _ in range(2):
+            assert_identical(fresh.measure_batch(samples[:4], noise_keys=keys),
+                             served.measure_batch(samples[:4],
+                                                  noise_keys=keys))
+            assert_identical(fresh.measure_clean_batch(samples[2:]),
+                             served.measure_clean_batch(samples[2:]))
+        assert_identical([fresh.measure(samples[0])],
+                         [served.measure(samples[0])])
+        assert len(recording._entries) == len(samples)
+
+    def test_second_backend_neither_traces_nor_replays(
+            self, tiny_trained_model, samples, monkeypatch):
+        from repro.uarch.engine import MeasurementPlan
+
+        recording = self.recording(tiny_trained_model)
+        first = SimBackend(tiny_trained_model, seed=4, recording=recording)
+        first.measure_batch(samples)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a recorded image was traced or replayed")
+
+        monkeypatch.setattr(MeasurementPlan, "replay_batch", refuse)
+        monkeypatch.setattr(recording.traced, "trace_sample", refuse)
+        second = SimBackend(tiny_trained_model, seed=9, recording=recording)
+        got = second.measure_batch(samples)
+        monkeypatch.undo()
+        assert_identical(SimBackend(tiny_trained_model,
+                                    seed=9).measure_batch(samples), got)
+
+    def test_settle_replays_every_pending_image_once(self, tiny_trained_model,
+                                                     samples, monkeypatch):
+        from repro.uarch.engine import MeasurementPlan
+
+        recording = self.recording(tiny_trained_model, samples)
+        sizes = []
+        replay_batch = MeasurementPlan.replay_batch
+        monkeypatch.setattr(
+            MeasurementPlan, "replay_batch",
+            lambda plan, traces: sizes.append(len(traces))
+            or replay_batch(plan, traces))
+        recording.settle()
+        recording.settle()
+        served = SimBackend(tiny_trained_model, recording=recording)
+        got = served.measure_batch(samples, noise_keys=[(2, index) for index
+                                                        in range(6)])
+        assert sizes == [len(samples)]
+        assert_identical(SimBackend(tiny_trained_model).measure_batch(
+            samples, noise_keys=[(2, index) for index in range(6)]), got)
+
+    def test_noise_injection_over_a_recording(self, tiny_trained_model,
+                                              samples):
+        # The tournament's noise-injection cell wraps a backend whose
+        # recording the baseline cell has already replayed: the dummy-work
+        # noise must land on the same clean counts as over a fresh one.
+        from repro.countermeasures import NoiseInjectionBackend
+        from repro.hpc import MeasurementSession
+
+        recording = self.recording(tiny_trained_model, samples)
+        baseline = SimBackend(tiny_trained_model, seed=2,
+                              recording=recording)
+        MeasurementSession(baseline, warmup=2).measure_category(samples,
+                                                                category=1)
+        fresh = NoiseInjectionBackend(SimBackend(tiny_trained_model, seed=2),
+                                      amplitude=0.25, seed=7)
+        served = NoiseInjectionBackend(
+            SimBackend(tiny_trained_model, seed=2, recording=recording),
+            amplitude=0.25, seed=7)
+        # Two rounds: the running means and the dummy-work stream carry
+        # over, so the second round checks they advanced alike.
+        for _ in range(2):
+            want = MeasurementSession(fresh, warmup=2).measure_category(
+                samples)
+            got = MeasurementSession(served, warmup=2).measure_category(
+                samples)
+            assert want == got
+        assert fresh._count == served._count == 2 * (2 + len(samples))
+
+    @pytest.mark.parametrize("cold,policy", [(False, "lru"),
+                                             (True, "tree-plru")])
+    def test_scalar_fallback_ignores_the_recording(self, tiny_trained_model,
+                                                   samples, cold, policy):
+        from repro.uarch import CpuConfig, HierarchyConfig
+
+        cpu_config = CpuConfig(hierarchy=HierarchyConfig(policy=policy))
+        recording = self.recording(tiny_trained_model, samples[:3],
+                                   cpu_config=cpu_config)
+
+        def backend(**kwargs):
+            made = SimBackend(tiny_trained_model, cpu_config=cpu_config,
+                              **kwargs)
+            made.cpu.cold_start = cold
+            return made
+
+        served = backend(recording=recording)
+        keys = [(0, index) for index in range(3)]
+        got = served.measure_batch(samples[:3], noise_keys=keys)
+        got_clean = served.measure_clean_batch(samples[:3])
+        fresh = backend()
+        assert_identical(fresh.measure_batch(samples[:3], noise_keys=keys),
+                         got)
+        assert_identical(fresh.measure_clean_batch(samples[:3]), got_clean)
+        if policy != "lru":
+            recording.settle()  # a tree-PLRU CPU has no plan to replay on
+        assert recording._plan is None and served._plan is None
+
+    def test_mismatched_recording_is_rejected(self, tiny_trained_model):
+        from repro.core.experiment import build_model
+        from repro.countermeasures import constant_footprint_config
+        from repro.errors import ConfigError
+        from repro.trace import TraceConfig
+        from repro.uarch import CpuConfig, HierarchyConfig
+
+        recording = self.recording(tiny_trained_model)
+        with pytest.raises(ConfigError):
+            SimBackend(build_model("mnist", seed=9), recording=recording)
+        with pytest.raises(ConfigError):
+            SimBackend(tiny_trained_model, recording=recording,
+                       trace_config=constant_footprint_config(TraceConfig()))
+        with pytest.raises(ConfigError):
+            SimBackend(tiny_trained_model, recording=recording,
+                       cpu_config=CpuConfig(
+                           hierarchy=HierarchyConfig(policy="tree-plru")))
+        shared = SimBackend(tiny_trained_model, recording=recording)
+        assert shared.traced is recording.traced
+        assert shared.fingerprint() == SimBackend(
+            tiny_trained_model).fingerprint()
+
+    def test_trace_counters_match_fresh_backend(self, tiny_trained_model,
+                                                samples):
+        from repro import obs
+
+        def counters(run):
+            obs.configure(obs.TelemetryConfig(enabled=True, console=False))
+            try:
+                run()
+                snapshot = obs.active().snapshot()
+                return (snapshot.counter_value("trace.ops"),
+                        snapshot.counter_value("trace.mem_accesses"))
+            finally:
+                obs.reset()
+
+        def twice(backend):
+            for _ in range(2):
+                backend.measure_batch(samples[:4])
+                backend.measure_clean_batch(samples[:2])
+
+        recording = self.recording(tiny_trained_model, samples[:2])
+        want = counters(lambda: twice(SimBackend(tiny_trained_model)))
+        got = counters(lambda: twice(SimBackend(tiny_trained_model,
+                                                recording=recording)))
+        assert got == want
+        assert got[0] > 0 and got[1] > 0
