@@ -32,7 +32,8 @@ draws its noise on the baseline cell's *clean* counts instead of replaying
 them again.  Each cell still draws its own noise exactly as it would on
 fresh counts, so no cell's result changes.  Images the matrix did not trace
 (store hits carry no prediction; ``--attackers hpc`` has no matrix) are
-traced by the first HPC cell that needs them and recorded then.
+traced by the first HPC cell that needs them and recorded then — in the
+parent, before keyed measurement workers fork.
 
 Variants live in a shared :class:`repro.attack.TraceStore`, so repeated
 tournaments (and the standalone attack CLIs) reuse traced passes across

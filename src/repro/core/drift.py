@@ -22,7 +22,8 @@ event) cell like the leakage path's first-detection bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -110,6 +111,28 @@ class DriftMonitor:
             window = self._windows[int(category)] = SlidingWindowMoments(
                 self.window, rows.shape[1])
         window.observe(rows)
+
+    def savepoint(self, categories: Iterable[int]) -> Tuple:
+        """Copies of ``categories``' windows plus the alarm count, which
+        :meth:`rollback` restores — O(W·e) per category."""
+        windows = {}
+        for category in categories:
+            window = self._windows.get(int(category))
+            windows[int(category)] = (None if window is None
+                                      else window.copy())
+        return windows, len(self._alarms)
+
+    def rollback(self, savepoint: Tuple) -> None:
+        """Put the windows back and drop alarms raised since
+        :meth:`savepoint`."""
+        windows, alarms = savepoint
+        for category, window in windows.items():
+            if window is None:
+                self._windows.pop(category, None)
+            else:
+                self._windows[category] = window
+        for key in list(self._alarms)[alarms:]:
+            del self._alarms[key]
 
     def check(self, baseline: StreamingMoments,
               events: Sequence[HpcEvent], tick: int) -> List[DriftAlarm]:

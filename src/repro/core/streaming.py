@@ -23,7 +23,7 @@ does the monitor notice" are the same number read from opposite sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,6 +250,27 @@ class StreamingEvaluator:
         self._moments.merge(StreamingMoments.from_state(
             arrays, columns=len(self._events)))
 
+    def savepoint(self, categories: Iterable[int]) -> Tuple:
+        """Undo record for folding ``categories`` in and ticking.
+
+        O(k·e): the touched accumulator rows, the tick count and the
+        number of detections.  :meth:`rollback` returns the evaluator to
+        this point, dropping the detections recorded since.
+        """
+        if self._moments is None:
+            raise EvaluationError(
+                "event order unknown: a savepoint needs bound events")
+        return (self._ticks, len(self._detections),
+                self._moments.savepoint(categories))
+
+    def rollback(self, savepoint: Tuple) -> None:
+        """Restore the state a :meth:`savepoint` recorded."""
+        ticks, detections, moments = savepoint
+        self._moments.rollback(moments)
+        self._ticks = ticks
+        for key in list(self._detections)[detections:]:
+            del self._detections[key]
+
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -315,33 +336,23 @@ class StreamingEvaluator:
             new_detections=new_detections,
         )
 
-    def report(self, confidence: Optional[float] = None) -> LeakageReport:
+    def report(self) -> LeakageReport:
         """A batch-compatible leakage report of the current state.
 
         Identical construction to ``Evaluator.evaluate`` run on the same
         sufficient statistics (``distributions`` is None — the samples were
-        never retained).
-
-        Args:
-            confidence: Override the evaluator's confidence level for this
-                report only — the alpha-spending alarm layer re-tests the
-                same accumulator state at a per-tick spent alpha without
-                touching the evaluator's own detection bookkeeping.
+        never retained).  The hot tick path never builds one: this is for
+        callers that print or export the report.
         """
         if not self.ready:
             raise EvaluationError(
                 "report needs at least two categories with >= 2 "
                 "observations each")
         stats = self._moments.to_sufficient_stats(self._events)
-        if confidence is None or confidence == self.confidence:
-            evaluator = self._evaluator
-            confidence = self.confidence
-        else:
-            evaluator = Evaluator(confidence=confidence, method=self.method)
-        results = evaluator.results_from_stats(stats, self._events)
+        results = self._evaluator.results_from_stats(stats, self._events)
         return LeakageReport(
             results=results,
-            confidence=confidence,
+            confidence=self.confidence,
             method=self.method,
             categories=list(stats.categories),
             events=list(self._events),

@@ -104,6 +104,15 @@ class TraceRecording:
             self._entries[key] = _Recorded(prediction, trace)
         return prediction, trace
 
+    def record(self, samples: Sequence[np.ndarray]) -> None:
+        """Trace every sample not recorded yet (:meth:`settle` replays
+        them)."""
+        for sample in samples:
+            key = self._key(sample)
+            if key not in self._entries:
+                self._entries[key] = _Recorded(
+                    *self.traced.trace_sample(sample))
+
     def add(self, sample: np.ndarray, prediction: int, trace: Trace) -> None:
         """Record a full ``trace_sample`` result made by another tracer of
         the same pair (a trace-pool worker's)."""

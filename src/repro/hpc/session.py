@@ -350,6 +350,12 @@ class MeasurementSession:
             per_category: Dict[int, List[EventCounts]] = {}
             if workers > 1 and subsets:
                 from ..parallel import measure_categories_parallel
+                # What a worker records dies with it: a backend sharing a
+                # recording traces and replays the pass here first.
+                record = getattr(self.backend, "record", None)
+                if record is not None:
+                    record([image for images in subsets.values()
+                            for image in images])
                 # measurement.samples is counted inside the workers (one
                 # inc per chunk, shipped back and merged) — counting here
                 # too would double it in the merged snapshot.

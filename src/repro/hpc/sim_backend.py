@@ -307,6 +307,19 @@ class SimBackend(HpcBackend):
         return [Measurement(prediction, self._noisy(counts, key))
                 for (prediction, counts), key in zip(replayed, keys)]
 
+    def record(self, samples: Sequence[np.ndarray]) -> None:
+        """Trace and replay ``samples`` into the attached :attr:`recording`.
+
+        For passes measured by forked workers: the parent records the
+        images first, since what a worker records dies with it.  A no-op
+        without a recording or outside the batched plan's envelope, where
+        :meth:`measure_batch` does not read the recording.
+        """
+        if self.recording is not None and MeasurementPlan.supports(
+                self.cpu_config, cold_start=self.cpu.cold_start):
+            self.recording.record(samples)
+            self.recording.settle()
+
     def measure(self, sample: np.ndarray,
                 noise_key: Optional[Tuple[int, int]] = None) -> Measurement:
         """Run one traced classification and return its noisy readout.

@@ -72,8 +72,9 @@ class RoundOutcome:
         tick: Evaluation tick index (None while the evaluator warms up).
         new_detections: First-detection records raised on this tick
             (identical to what ``repro stream`` would record).
-        leakage_alarm: The spending-layer policy decision (None before
-            the first tick).
+        leakage_alarm: The spending-layer policy decision on the tick's
+            p-values at the spent per-cell level (None before the first
+            tick; never triggered once that level underflows to 0.0).
         spent_alpha: Significance level the spending layer tested at.
         drift_alarms: Drift cells first raised on this tick.
     """
@@ -124,11 +125,12 @@ class TenantMonitor:
         what makes daemon verdicts bit-identical to offline ones.
 
         Ingestion is all-or-nothing: every batch is validated and
-        converted before the first accumulator is touched, so a rejected
-        round leaves the monitor bit-identical to before the call.  The
-        daemon's exactly-once re-ingest after a consumer restart depends
-        on this — a round that half-mutated state before raising would be
-        double-counted on replay.
+        converted before the first accumulator is touched, and a failure
+        after the fold restores the O(k·e) state the round touched, so a
+        round that raises leaves the monitor bit-identical to before the
+        call.  The daemon's exactly-once re-ingest after a consumer
+        restart depends on this — a round that half-mutated state before
+        raising would be double-counted on replay.
         """
         if round_.tenant != self.spec.tenant:
             raise EvaluationError(
@@ -157,48 +159,60 @@ class TenantMonitor:
                     f"category {category} rows have shape {rows.shape}, "
                     f"expected (B, {columns})")
             batches[category] = rows
-        # Validated float64 (B, E) arrays only from here on: the folds
-        # below are pure accumulator arithmetic and cannot raise.
+        # Validated float64 (B, E) arrays only from here on.  The steps
+        # after the fold (tick, alarm rule, drift check) can still raise;
+        # the fold is then undone, so the re-ingest after a consumer
+        # restart counts the round once.
+        evaluator_undo = self.evaluator.savepoint(batches)
+        drift_undo = (self.drift.savepoint(batches)
+                      if self.drift is not None else None)
+        try:
+            outcome = self._fold(round_.index, batches)
+        except BaseException:
+            self.evaluator.rollback(evaluator_undo)
+            if drift_undo is not None:
+                self.drift.rollback(drift_undo)
+            raise
+        self.rounds_ingested += 1
+        if outcome.alarmed:
+            self.leakage_alarm_count += 1
+            if self._first_leakage_alarm is None:
+                self._first_leakage_alarm = outcome
+        return outcome
+
+    def _fold(self, round_index: int,
+              batches: Mapping[int, np.ndarray]) -> RoundOutcome:
         for category, rows in batches.items():
             self.evaluator.observe_rows(category, rows)
             if self.drift is not None:
                 self.drift.observe(category, rows)
-        self.rounds_ingested += 1
         if not self.evaluator.ready:
             return RoundOutcome(tenant=self.spec.tenant,
-                                round_index=round_.index, tick=None)
+                                round_index=round_index, tick=None)
         tick = self.evaluator.tick()
         alpha = spend_alpha(self.config.alpha, tick.tick,
                             scheme=self.config.spending)
         # The spent budget covers the tick's whole (pair, event) family:
         # each cell is tested at a Bonferroni share, so the union bound
-        # holds across cells within a tick as well as across ticks.
-        cells = len(tick.pairs) * len(self.evaluator.events)
-        alpha_cell = alpha / cells if cells else 0.0
-        # Degenerate spent budget: p-values can never beat alpha == 0.0,
-        # so skip the re-test instead of asking for confidence == 1.0.
-        leakage_alarm = None
-        if alpha_cell > 0.0:
-            report = self.evaluator.report(confidence=1.0 - alpha_cell)
-            leakage_alarm = self.config.policy.decide(report)
+        # holds across cells within a tick as well as across ticks.  The
+        # rule reads the tick's own p-values; once the share underflows
+        # to 0.0 no cell can reject.
+        alpha_cell = alpha / (len(tick.pairs) * len(tick.events))
+        leakage_alarm = self.config.policy.decide_p_values(
+            tick.p_value, alpha_cell, tick.pairs, tick.events)
         drift_alarms: Tuple[DriftAlarm, ...] = ()
         if self.drift is not None:
             drift_alarms = tuple(self.drift.check(
                 self.evaluator.moments, self.evaluator.events, tick.tick))
-        outcome = RoundOutcome(
+        return RoundOutcome(
             tenant=self.spec.tenant,
-            round_index=round_.index,
+            round_index=round_index,
             tick=tick.tick,
             new_detections=tuple(tick.new_detections),
             leakage_alarm=leakage_alarm,
             spent_alpha=alpha,
             drift_alarms=drift_alarms,
         )
-        if outcome.alarmed:
-            self.leakage_alarm_count += 1
-            if self._first_leakage_alarm is None:
-                self._first_leakage_alarm = outcome
-        return outcome
 
     # ------------------------------------------------------------------
     # Introspection

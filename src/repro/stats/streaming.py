@@ -33,6 +33,7 @@ accumulator loses every significant digit outright.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -267,6 +268,28 @@ class StreamingMoments:
             row = self._rows[int(category)] = MomentColumns(self._columns)
         row.observe(rows)
 
+    def savepoint(self, categories: Iterable[int]) -> Dict[int, Optional[
+            Tuple[int, np.ndarray, np.ndarray]]]:
+        """Copies of ``categories``' rows (None when unseen), which
+        :meth:`rollback` restores — O(e) per category."""
+        saved = {}
+        for category in categories:
+            row = self._rows.get(int(category))
+            saved[int(category)] = (None if row is None else
+                                    (row.count, row.mean.copy(),
+                                     row.m2.copy()))
+        return saved
+
+    def rollback(self, savepoint: Mapping[int, Optional[
+            Tuple[int, np.ndarray, np.ndarray]]]) -> None:
+        """Put the rows of a :meth:`savepoint` back as they were."""
+        for category, saved in savepoint.items():
+            if saved is None:
+                self._rows.pop(category, None)
+            else:
+                row = self._rows[category]
+                row.count, row.mean, row.m2 = saved
+
     def row(self, category: int) -> MomentColumns:
         """The long-run accumulator of one category (drift baseline).
 
@@ -461,6 +484,12 @@ class SlidingWindowMoments:
             self._buffer[:remainder] = rows[first:]
         self._next = (self._next + rows.shape[0]) % capacity
         self._filled = min(capacity, self._filled + rows.shape[0])
+
+    def copy(self) -> "SlidingWindowMoments":
+        """An independent copy: same rows, same write cursor."""
+        clone = copy.copy(self)
+        clone._buffer = self._buffer.copy()
+        return clone
 
     def window(self) -> np.ndarray:
         """The retained rows, oldest first (copy)."""

@@ -320,3 +320,37 @@ def test_each_pool_image_traced_and_replayed_once(tmp_path, monkeypatch,
     assert "untraced" not in replayed
     assert len(replayed) == 2 * pool_images
     assert set(replayed.values()) == {1}
+
+
+def test_hpc_only_workers_trace_what_the_serial_pass_traces(
+        tmp_path, monkeypatch, tiny_trained_model):
+    # With no trace matrix, the keyed HPC cells record their pool in the
+    # parent before the measurement workers fork, so a two-worker pass
+    # traces each (trace variant, pool image) once, as the serial pass
+    # does.  Calls are logged to a file so the workers' count as well.
+    import os
+
+    from repro.trace.traced_model import TracedInference
+
+    trace_sample = TracedInference.trace_sample
+    log = tmp_path / "trace_sample.log"
+
+    def logged_trace(self, sample):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return trace_sample(self, sample)
+
+    monkeypatch.setattr(TracedInference, "trace_sample", logged_trace)
+    traced, verdicts = {}, {}
+    for workers in (1, 2):
+        log.write_text("")
+        report = run_tournament(
+            [tiny_config(tmp_path / f"workers{workers}")],
+            attackers=("hpc",), attack_samples=4, epochs=4,
+            workers=workers, models={"mnist": tiny_trained_model})
+        pids = log.read_text().split()
+        traced[workers] = (len(pids), set(pids) == {str(os.getpid())})
+        verdicts[workers] = _verdicts(report)
+    pool_images = 2 * 4  # categories x attack samples
+    assert traced[1] == traced[2] == (2 * pool_images + 2, True)
+    assert verdicts[1] == verdicts[2]

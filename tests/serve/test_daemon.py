@@ -215,6 +215,65 @@ class TestCrashRecovery:
         offline = offline_replay(config.tenants[0], config, rounds)
         assert_states_equal(daemon, "t", offline)
 
+    @pytest.mark.parametrize("crash_on", ["new_detections", "drift_alarms"])
+    def test_crash_after_the_fold_is_undone(self, monkeypatch, crash_on):
+        # A step after the fold (here the drift check, once its new
+        # alarms are recorded) raising once — on a tick with new leakage
+        # detections or new drift alarms — must undo the round: the
+        # restarted consumer re-ingests it, it is counted once, and the
+        # outcomes and final state equal a fault-free run's bit for bit.
+        from repro.core.drift import DriftMonitor
+
+        config = make_config(
+            tenants=(TenantSpec("t", categories=(0, 1, 2)),),
+            drift_threshold=5.0, drift_window=8, max_consumer_restarts=2)
+        rounds = SyntheticTenantLoad(config.tenants[0], seed=9,
+                                     drift_after_round=6).rounds(
+            10, config.batch_size)
+
+        def run():
+            delivered = []
+
+            async def main():
+                daemon = MonitorDaemon(config, on_outcome=delivered.append)
+                daemon.start()
+                for i, batches in enumerate(rounds):
+                    await daemon.submit_round(MeasurementRound(
+                        tenant="t", index=i, batches=batches))
+                await daemon.stop()
+                return daemon
+
+            return asyncio.run(main()).monitors["t"], delivered
+
+        clean, clean_outcomes = run()
+        crash_tick = next(o.tick for o in clean_outcomes
+                          if getattr(o, crash_on))
+        check = DriftMonitor.check
+        crashes = []
+
+        def check_then_crash(self, baseline, events, tick):
+            alarms = check(self, baseline, events, tick)
+            if tick == crash_tick and not crashes:
+                crashes.append(tick)
+                raise RuntimeError("consumer died after the fold")
+            return alarms
+
+        monkeypatch.setattr(DriftMonitor, "check", check_then_crash)
+        monitor, outcomes = run()
+        assert crashes == [crash_tick]
+        assert monitor.rounds_ingested == len(outcomes) == len(rounds)
+        assert [o.round_index for o in outcomes] == list(range(len(rounds)))
+        for field in ("new_detections", "drift_alarms", "leakage_alarm"):
+            assert [getattr(o, field) for o in outcomes] \
+                == [getattr(o, field) for o in clean_outcomes], field
+        want, got = clean.state(), monitor.state()
+        assert set(got) == set(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+        assert monitor.evaluator.alarm_latency_rows() \
+            == clean.evaluator.alarm_latency_rows()
+        assert monitor.drift.alarm_rows() == clean.drift.alarm_rows()
+
     def test_restart_budget_exhaustion_fails_the_tenant(self):
         config = make_config(
             tenants=(TenantSpec("t", categories=(0, 1)),),
@@ -343,6 +402,28 @@ class TestCrashRecovery:
         daemon = asyncio.run(main())
         assert "alpha" in daemon.failed
         assert daemon.monitors["beta"].rounds_ingested == 4
+
+
+class TestHorizon:
+    def test_sixty_rounds_at_ten_categories_never_restart(self):
+        # 60 ticks at 10 x 8 run past tick 42, where the spending layer's
+        # per-cell level used to crash every consumer.
+        config = make_config(
+            tenants=tuple(TenantSpec(f"t{i}", categories=tuple(range(10)))
+                          for i in range(2)),
+            batch_size=4)
+
+        async def main():
+            daemon = MonitorDaemon(config)
+            daemon.start()
+            await run_load(daemon, rounds=60, seed=5)
+            await daemon.stop()
+            return daemon
+
+        daemon = asyncio.run(main())
+        assert not daemon.failed
+        for tenant, row in daemon.summary().items():
+            assert (row["restarts"], row["ticks"]) == (0, 60), tenant
 
 
 class TestCheckpointing:

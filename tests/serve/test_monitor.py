@@ -117,6 +117,31 @@ class TestAlarms:
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
         assert alphas[0] == config.alpha / 2.0
 
+    def test_geometric_spending_survives_its_underflow(self):
+        # Regression: at 10 categories x 8 events the per-cell share
+        # alpha / 2**t / 360 falls below 2**-53 at tick 42, where the
+        # re-test used to ask for confidence exactly 1.0 and raise, and
+        # reaches 0.0 near tick 1075.  The monitor keeps ingesting, alarms
+        # early, and a zero budget never alarms.
+        spec = TenantSpec("t", categories=tuple(range(10)))
+        config = ServeConfig(tenants=(spec,), batch_size=4)
+        assert len(spec.events) == 8 and config.spending == "geometric"
+        cells = 45 * len(spec.events)
+        monitor = TenantMonitor(spec, config)
+        load = SyntheticTenantLoad(spec, seed=24)
+        alarmed, zero_budget = [], []
+        for i in range(1100):
+            outcome = monitor.ingest_round(MeasurementRound(
+                tenant="t", index=i, batches=load.round_batches(i, 4)))
+            if outcome.alarmed:
+                alarmed.append(outcome.tick)
+            if outcome.spent_alpha / cells == 0.0:
+                zero_budget.append(outcome.tick)
+        assert monitor.rounds_ingested == monitor.evaluator.ticks == 1100
+        assert alarmed[0] == 1 and max(alarmed) > 42
+        assert zero_budget and zero_budget[-1] == 1100
+        assert max(alarmed) < zero_budget[0]
+
     def test_identical_streams_never_alarm(self):
         # All categories share one distribution: no leakage signal.
         config = make_config()
